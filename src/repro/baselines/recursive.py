@@ -20,6 +20,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
 from repro.pattern.query import QueryGraph
+from repro.pattern.symmetry import num_automorphisms
 
 __all__ = [
     "RecursiveMatcher",
@@ -197,7 +198,7 @@ def count_via_bruteforce(
                 embeddings += 1
     if count_embeddings:
         return embeddings
-    n_aut = len(query.automorphisms())
+    n_aut = num_automorphisms(query)
     assert embeddings % n_aut == 0, "embedding count must be divisible by |Aut|"
     return embeddings // n_aut
 
@@ -231,6 +232,6 @@ def count_via_networkx(
     embeddings = sum(1 for _ in it)
     if count_embeddings:
         return embeddings
-    n_aut = len(query.automorphisms())
+    n_aut = num_automorphisms(query)
     assert embeddings % n_aut == 0, "embedding count must be divisible by |Aut|"
     return embeddings // n_aut

@@ -14,6 +14,7 @@ from .symmetry import (
     partial_order_matrix,
     restrictions_by_level,
     restrictions_for,
+    stabilizer_chain,
 )
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "restrictions_by_level",
     "partial_order_matrix",
     "num_automorphisms",
+    "stabilizer_chain",
     "MatchingPlan",
     "build_plan",
 ]

@@ -27,7 +27,7 @@ from repro.graph.csr import CSRGraph
 
 from .matching_order import exhaustive_order, greedy_order, validate_order
 from .query import QueryGraph
-from .symmetry import num_automorphisms, restrictions_by_level
+from .symmetry import group_by_level, stabilizer_chain
 
 __all__ = [
     "MatchingPlan",
@@ -195,12 +195,8 @@ def build_plan(
         raise ValueError(f"unknown order_strategy {order_strategy!r}")
 
     rq = query.relabeled(order)
-    if symmetry_breaking:
-        restrictions = restrictions_by_level(rq)
-        n_aut = num_automorphisms(rq)
-    else:
-        restrictions = [[] for _ in range(rq.size)]
-        n_aut = num_automorphisms(rq)
+    pairs, n_aut = stabilizer_chain(rq)
+    restrictions = group_by_level(pairs if symmetry_breaking else [], rq.size)
     program = build_program(rq, vertex_induced=vertex_induced, code_motion=code_motion)
     plan = MatchingPlan(
         query=rq,

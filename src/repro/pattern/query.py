@@ -10,14 +10,17 @@ before planning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["QueryGraph"]
+__all__ = ["QueryGraph", "IsomorphismSearch"]
 
-MAX_QUERY_SIZE = 8  # automorphism search is factorial; 8 keeps it instant
+# Symmetry analysis (restrictions, |Aut|) costs at most k(k-1)/2 find-first
+# searches and is sub-millisecond at this size; the bound is kept for the
+# parts that do grow fast: the explicit ``automorphisms()`` list (k! maps for
+# a clique) and the exhaustive matching-order search (k! orders).
+MAX_QUERY_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -200,48 +203,20 @@ class QueryGraph:
                           directed=self.directed)
 
     def automorphisms(self) -> list[tuple[int, ...]]:
-        """All label- and adjacency-preserving vertex permutations.
+        """All label- and adjacency-preserving vertex permutations, in
+        lexicographic order (``sigma[u]`` is the image of ``u``).
 
-        Brute force over ``k!`` permutations with degree/label pruning;
-        instantaneous for the ≤8-vertex queries this library supports.
+        The list has ``|Aut|`` entries (up to ``k!`` for a clique) and
+        the time to build it scales with that; callers that only need
+        restrictions or ``|Aut|`` use
+        :func:`repro.pattern.symmetry.stabilizer_chain`, which never
+        lists the group.
         """
-        k = self.size
-        out_degs = self.adj.sum(axis=1)
-        in_degs = self.adj.sum(axis=0)
-        labs = self.labels if self.labels is not None else np.zeros(k, dtype=np.int32)
-        result = []
-        # candidates per vertex: same (out, in) degree and label
-        cand = [
-            [
-                v for v in range(k)
-                if out_degs[v] == out_degs[u] and in_degs[v] == in_degs[u]
-                and labs[v] == labs[u]
-            ]
-            for u in range(k)
-        ]
-        for perm in permutations(range(k)):
-            ok = True
-            for u in range(k):
-                if perm[u] not in cand[u]:
-                    ok = False
-                    break
-            if ok and np.array_equal(self.adj, self.adj[np.ix_(perm, perm)]):
-                result.append(tuple(perm))
-        return result
+        return list(IsomorphismSearch(self, self).maps())
 
     def is_isomorphic_to(self, other: "QueryGraph") -> bool:
         """Exact isomorphism test between two small queries."""
-        if self.size != other.size or self.num_edges != other.num_edges:
-            return False
-        labs_a = self.labels if self.labels is not None else np.zeros(self.size, dtype=np.int32)
-        labs_b = other.labels if other.labels is not None else np.zeros(other.size, dtype=np.int32)
-        if sorted(labs_a.tolist()) != sorted(labs_b.tolist()):
-            return False
-        for perm in permutations(range(self.size)):
-            p = np.asarray(perm)
-            if np.array_equal(labs_a, labs_b[p]) and np.array_equal(self.adj, other.adj[np.ix_(p, p)]):
-                return True
-        return False
+        return next(IsomorphismSearch(self, other).maps(), None) is not None
 
     def to_networkx(self):
         import networkx as nx
@@ -278,3 +253,78 @@ class QueryGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lbl = ", labeled" if self.is_labeled else ""
         return f"QueryGraph(name={self.name!r}, k={self.size}, m={self.num_edges}{lbl})"
+
+
+class IsomorphismSearch:
+    """Backtracking search for the isomorphisms ``a → b`` of two queries.
+
+    A map is grown one vertex of ``a`` at a time (``0, 1, ..., k-1``),
+    trying images in ascending order, and is extended only while it is
+    still a partial isomorphism: the image is unused, has the same
+    (out-degree, in-degree, label) invariant, and agrees with every
+    vertex mapped so far on both arc directions and on the diagonal.
+    Complete maps therefore come out in lexicographic order, and a
+    caller that needs only one takes the first and drops the generator.
+
+    Everything runs on plain Python lists — no NumPy call per candidate.
+    """
+
+    def __init__(self, a: QueryGraph, b: QueryGraph) -> None:
+        self._k = a.size
+        self._adj_a = a.adj.tolist()
+        self._adj_b = self._adj_a if b is a else b.adj.tolist()
+        inv_a = _vertex_invariants(a, self._adj_a)
+        inv_b = inv_a if b is a else _vertex_invariants(b, self._adj_b)
+        # Equal invariant multisets imply equal size, edge count and labels;
+        # without them no vertex gets an image and every search is empty.
+        if sorted(inv_a) != sorted(inv_b):
+            inv_b = []
+        self._images: list[list[int]] = [
+            [x for x, inv in enumerate(inv_b) if inv == mine] for mine in inv_a
+        ]
+
+    def maps(self, prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+        """Yield every isomorphism ``m`` (``m[u]`` = image of ``u``) with
+        ``m[:len(prefix)] == prefix``, in lexicographic order."""
+        image: list[int] = []
+        for u, x in enumerate(prefix):
+            if x not in self._images[u] or not self._consistent(image, x):
+                return
+            image.append(x)
+        yield from self._extend(image)
+
+    def _consistent(self, image: list[int], x: int) -> bool:
+        """Whether mapping vertex ``u = len(image)`` to ``x`` keeps
+        ``image`` an injective partial isomorphism."""
+        if x in image:
+            return False
+        u = len(image)
+        adj_a, adj_b = self._adj_a, self._adj_b
+        row_a, row_b = adj_a[u], adj_b[x]
+        if row_a[u] != row_b[x]:
+            return False
+        for w, y in enumerate(image):
+            if row_a[w] != row_b[y] or adj_a[w][u] != adj_b[y][x]:
+                return False
+        return True
+
+    def _extend(self, image: list[int]) -> Iterator[tuple[int, ...]]:
+        u = len(image)
+        if u == self._k:
+            yield tuple(image)
+            return
+        for x in self._images[u]:
+            if self._consistent(image, x):
+                image.append(x)
+                yield from self._extend(image)
+                image.pop()
+
+
+def _vertex_invariants(
+    q: QueryGraph, adj: list[list[bool]]
+) -> list[tuple[int, int, int]]:
+    """Per-vertex (out-degree, in-degree, label) — preserved by any
+    isomorphism, so only equal-invariant vertices can be images."""
+    labels = [0] * q.size if q.labels is None else q.labels.tolist()
+    in_degs = [sum(col) for col in zip(*adj)]
+    return [(sum(adj[u]), in_degs[u], labels[u]) for u in range(q.size)]

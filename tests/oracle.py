@@ -14,9 +14,16 @@ automorphism.  VF2's ``subgraph_monomorphisms_iter`` enumerates
 
     oracle_count = |monomorphisms| / |Aut(query)|
 
-(labels participate in both sides via ``node_match`` /
-``QueryGraph.automorphisms``).  The division is asserted exact — a
-remainder would mean the two sides disagree on semantics.
+(labels participate in both sides via ``node_match``).  ``|Aut|`` is
+VF2's too — the query's self-monomorphism count,
+:func:`nx_num_automorphisms` — so no code under test is on the oracle's
+side.  The division is asserted exact — a remainder would mean the two
+sides disagree on semantics.
+
+The module also keeps the ``k!`` enumeration the library used before
+its stabilizer-chain search (:func:`bruteforce_automorphisms`,
+:func:`bruteforce_restrictions`) as the differential reference for
+:mod:`repro.pattern.symmetry`.
 
 Regenerate the fixture after changing the corpus::
 
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from itertools import permutations
 from pathlib import Path
 
 import networkx as nx
@@ -71,20 +79,62 @@ def labeled_pair(graph: CSRGraph, query: QueryGraph) -> tuple[CSRGraph, QueryGra
     return lg, query.with_labels(bound)
 
 
+def _label_match(query: QueryGraph):
+    if not query.is_labeled:
+        return None
+    return nx.algorithms.isomorphism.categorical_node_match("label", None)
+
+
+def nx_num_automorphisms(query: QueryGraph) -> int:
+    """``|Aut(query)|`` from NetworkX alone: the number of label- and
+    arc-preserving monomorphisms of the query onto itself (same vertex
+    and edge counts on both sides, so every one is an automorphism)."""
+    q_nx = query.to_networkx()
+    matcher_cls = (nx.algorithms.isomorphism.DiGraphMatcher if query.directed
+                   else nx.algorithms.isomorphism.GraphMatcher)
+    matcher = matcher_cls(q_nx, q_nx, node_match=_label_match(query))
+    return sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+
+
+def bruteforce_automorphisms(query: QueryGraph) -> list[tuple[int, ...]]:
+    """All automorphisms by testing each of the ``k!`` permutations, in
+    lexicographic order — the reference the library's search must equal."""
+    k = query.size
+    labs = query.labels if query.is_labeled else np.zeros(k, dtype=np.int32)
+    result = []
+    for perm in permutations(range(k)):
+        p = np.asarray(perm)
+        if (np.array_equal(labs, labs[p])
+                and np.array_equal(query.adj, query.adj[np.ix_(p, p)])):
+            result.append(tuple(perm))
+    return result
+
+
+def bruteforce_restrictions(
+    query: QueryGraph, group: list[tuple[int, ...]] | None = None
+) -> list[tuple[int, int]]:
+    """Stabilizer-chain restrictions computed from the listed group
+    (``group`` = an already computed :func:`bruteforce_automorphisms`)."""
+    if group is None:
+        group = bruteforce_automorphisms(query)
+    restrictions: list[tuple[int, int]] = []
+    for i in range(query.size):
+        restrictions += [(i, j) for j in sorted({s[i] for s in group}) if j != i]
+        group = [s for s in group if s[i] == i]
+    return restrictions
+
+
 def count_oracle(graph: CSRGraph, query: QueryGraph) -> int:
     """Count unique edge-induced matches of ``query`` by brute force."""
     g_nx = graph.to_networkx()
     q_nx = query.to_networkx()
-    node_match = None
-    if query.is_labeled:
-        if not graph.is_labeled:
-            raise ValueError("labeled query against an unlabeled graph")
-        node_match = nx.algorithms.isomorphism.categorical_node_match("label", None)
+    if query.is_labeled and not graph.is_labeled:
+        raise ValueError("labeled query against an unlabeled graph")
     matcher = nx.algorithms.isomorphism.GraphMatcher(
-        g_nx, q_nx, node_match=node_match
+        g_nx, q_nx, node_match=_label_match(query)
     )
     num_mono = sum(1 for _ in matcher.subgraph_monomorphisms_iter())
-    num_aut = len(query.automorphisms())
+    num_aut = nx_num_automorphisms(query)
     if num_mono % num_aut:
         raise AssertionError(
             f"{num_mono} monomorphisms not divisible by |Aut| = {num_aut} "
