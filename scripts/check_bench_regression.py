@@ -24,9 +24,12 @@ Three modes:
   validate a ``python -m repro.bench codegen`` payload: every cell must
   report byte-identical matches and cycles between the interpreted fast
   path and the compiled tier, and the geomean speedup over the *dense*
-  cells must reach ``--min-codegen-speedup`` (default 2.0, the
-  acceptance floor — sparse stand-in rows are informational because the
-  shared kernel loop bounds their ratio).
+  cells must reach ``--min-codegen-speedup`` (default 1.0: the compiled
+  tier must not lose to the interpreted walk it prints.  It was 2.0
+  while the count-only leaves existed only in emitted source; both
+  tiers share them now, so the gap is inlining alone — sparse stand-in
+  rows are informational because the shared kernel loop bounds their
+  ratio).
 
 * ``check_bench_regression.py --serve BENCH_serve.json`` — validate a
   ``python -m repro.bench serve`` payload against the ``repro.obs``
@@ -389,9 +392,9 @@ def main(argv: list[str] | None = None) -> int:
                    help="treat the file as a BENCH_codegen.json payload: "
                         "check interp/codegen identity per cell and the "
                         "dense-cell geomean speedup floor")
-    p.add_argument("--min-codegen-speedup", type=float, default=2.0,
+    p.add_argument("--min-codegen-speedup", type=float, default=1.0,
                    help="codegen mode: required geomean speedup over the "
-                        "dense cells (default 2.0)")
+                        "dense cells (default 1.0)")
     p.add_argument("--parallel", action="store_true",
                    help="treat the file as a BENCH_parallel.json payload: "
                         "check serial/process identity per point and the "

@@ -1,33 +1,28 @@
 """Compiled per-query kernel tier (``EngineConfig.codegen``).
 
-The fast path (``repro.core.candidates``) interprets a generic plan IR:
-every frame re-dispatches on ``BaseKind``/``OpKind``, re-resolves
-operand indirection through per-frame memo dicts, and re-checks config
-flags that are constant for the life of a query.  This package removes
-that interpreter overhead by *emitting Python source* specialized to
-one ``(query, schedule)`` pair — the plan's set ops inlined as direct
-intersection/difference sequences, code-motion REF reuse resolved to
-local variables, label/degree/symmetry filters baked in as constants,
-count-only leaves emitted as closed-form tallies — then ``exec``-ing
-and caching the compiled functions in a process-wide LRU keyed exactly
-like the per-graph plan cache (graph-independent, so worker processes
-re-derive identical kernels from the pickled plan + config and never
-ship code objects).
+The interpreted fast path (``CandidateComputer._walk``) walks a plan's
+lowered :class:`~repro.core.lowering.LevelProgram` on every frame.
+This package *prints that walk as Python source* for one
+``(query, schedule)`` pair — the step loop unrolled, gather and set
+indices resolved to local variables, label/degree/symmetry constants
+frozen as literals — then ``exec``s it once and caches the functions in
+a process-wide LRU keyed exactly like the per-graph plan cache
+(graph-independent, so worker processes re-derive identical kernels
+from the pickled plan + config and never ship code objects).
 
-The cost-model-preservation contract is absolute: generated kernels
-issue the same cycle charges through the same :class:`~repro.virtgpu.
-warp.Warp` methods in the same order as the interpreted backends, so
+Emitted code calls the same :mod:`repro.core.levelops` functions as
+the interpreter, in the order the same lowering fixed, and those
+functions own every :class:`~repro.virtgpu.warp.Warp` charge — so
 matches, simulated cycles, steal schedules and tracer event streams are
-byte-identical (``tests/test_codegen_identity.py``).  Only host
-wall-clock changes.
+identical by construction (``tests/test_codegen_identity.py`` still
+checks).  Only host wall-clock changes.
 
-This ``__init__`` stays import-light on purpose: ``repro.core.engine``
-imports :mod:`repro.codegen.cache` at module load, so anything here
-that imported back into ``repro.core`` would cycle.  The emitter and
-the computer are imported lazily by their consumers
-(``repro.codegen.emit`` / ``repro.codegen.computer``).
+Imports run one way: this package imports ``repro.core``; core reaches
+it only lazily (``STMatchEngine._make_computer``).
 """
 
-from .cache import LRUCache, resolve_codegen
+from repro.lru import LRUCache
+
+from .cache import resolve_codegen
 
 __all__ = ["LRUCache", "resolve_codegen"]

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from .cache import LRUCache
+from repro.lru import LRUCache
+
 from .emit import codegen_key, emit_kernel_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

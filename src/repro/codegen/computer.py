@@ -2,21 +2,14 @@
 
 :class:`CodegenCandidateComputer` is a drop-in
 :class:`~repro.core.candidates.CandidateComputer` whose
-``compute_frame`` dispatches to the compiled per-level functions from
-:mod:`repro.codegen.compile` instead of interpreting the plan IR.  All
-graph-dependent state (label LUTs, degree table, bitmap index, slot
-capacity) still lives on the instance — generated code reaches it
-through the ``C`` argument — so one compiled kernel serves every data
-graph.
-
-Byte-identical contract: matches, simulated cycles, steal schedules and
-tracer streams equal the interpreted fast path's
-(``tests/test_codegen_identity.py``); only host wall-clock changes.
+``compute_frame`` runs the compiled per-level functions from
+:mod:`repro.codegen.compile` instead of walking the lowered program.
+All graph-dependent state lives on the inherited
+:class:`~repro.core.levelops.LevelOps` instance the kernels receive, so
+one compiled kernel serves every data graph.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -28,7 +21,6 @@ from repro.pattern.plan import MatchingPlan
 from repro.virtgpu.warp import Warp
 
 from .compile import compiled_kernel
-from .runtime import member_sorted
 
 __all__ = ["CodegenCandidateComputer"]
 
@@ -40,182 +32,7 @@ class CodegenCandidateComputer(CandidateComputer):
         if not config.fastpath:
             raise ValueError("codegen requires fastpath=True")
         super().__init__(graph, plan, config)
-        kernel = compiled_kernel(plan, config)
-        self.kernel = kernel
-        self._levels = kernel.levels
-        # per-sid label LUT view: generated code indexes by set id, the
-        # interpreter's dict by frozenset — same arrays either way.  On
-        # an unlabeled graph the map stays empty; generated code raises
-        # before touching it (same error as the interpreted path).
-        self._lut_by_sid = {
-            sid: self._label_luts[r.label_filter]
-            for sid, r in enumerate(self.program.recipes)
-            if r.label_filter is not None and r.label_filter in self._label_luts
-        }
-        # seg_ids is read-only in generated code (feeds repeat/tile), so
-        # one arange per distinct slot count is safe to share
-        self._seg_cache: dict[int, np.ndarray] = {}
-        # per-stack flipped-intersection memo: id(stack) -> [ref array,
-        # inbound flag, per-vertex |ref ∩ N(v)| with -1 = unknown,
-        # last m_prefix, members of that prefix found in ref]
-        self._flip_memo: dict[int, list[Any]] = {}
-        # per-stack tiled-tally memo: id(stack) -> [ca array, m_prefix,
-        # |ca| minus the prefix members present in it]
-        self._tally_memo: dict[int, list[Any]] = {}
-        # per-stack used-exclusion memo: id(stack) -> [m_prefix, inbound
-        # flag, per-vertex #(used ∩ N(v)) with -1 = unknown]
-        self._excl_memo: dict[int, list[Any]] = {}
-        self._has_self_loops: bool | None = None
-
-    def seg_ids(self, nslots: int) -> np.ndarray:
-        got = self._seg_cache.get(nslots)
-        if got is None:
-            got = np.arange(nslots, dtype=np.int64)
-            self._seg_cache[nslots] = got
-        return got
-
-    def flip_counts(
-        self,
-        ref: np.ndarray,
-        stack: WarpStack,
-        slot_arr: np.ndarray,
-        inbound: bool,
-    ) -> np.ndarray:
-        """Per-slot ``|ref ∩ N(v)|``, memoized per stack while ``ref``
-        lives.
-
-        The flipped-intersection leaf asks this for every batch of
-        slots, and ``ref`` (an earlier frame's set instance) stays the
-        same object across the whole subtree below that frame — so the
-        per-vertex counts are cached in an n-vector keyed by the array's
-        identity (a strong reference is held, so the id cannot be
-        recycled; steal splits copy arrays and therefore invalidate
-        naturally).  Only vertices never seen under this ``ref`` pay the
-        CSR gather + membership probe.
-        """
-        key = id(stack)
-        ent = self._flip_memo.get(key)
-        if ent is None or ent[0] is not ref or ent[1] != inbound:
-            memo = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-            ent = [ref, inbound, memo, None, None]
-            self._flip_memo[key] = ent
-        memo = ent[2]
-        counts: np.ndarray = memo[slot_arr]
-        miss = counts < 0
-        if miss.any():
-            mv = slot_arr[miss]
-            g = self.graph.reversed_view() if inbound else self.graph
-            nb_v, nb_o = g.neighbors_batch(mv)
-            found = member_sorted(ref, nb_v)
-            cs = np.zeros(nb_v.size + 1, dtype=np.int64)
-            np.cumsum(found, out=cs[1:])
-            mc = cs[nb_o[1:]] - cs[nb_o[:-1]]
-            memo[mv] = mc
-            counts[miss] = mc
-        return counts
-
-    def flip_used(
-        self,
-        ref: np.ndarray,
-        stack: WarpStack,
-        m_prefix: list[int],
-        inbound: bool,
-    ) -> list[int]:
-        """Indices of ``m_prefix`` vertices present in ``ref``, cached.
-
-        The prefix only changes when a parent frame advances, which is
-        far rarer than leaf batches — so the membership probe result is
-        kept on the same per-stack memo entry as :meth:`flip_counts`
-        (which callers always invoke first, keeping the entry's
-        identity check authoritative).
-        """
-        ent = self._flip_memo[id(stack)]
-        if ent[0] is not ref or ent[1] != inbound or ent[3] != m_prefix:
-            ua = np.asarray(m_prefix, dtype=np.int32)
-            hits = member_sorted(ref, ua)
-            ent[3] = list(m_prefix)
-            ent[4] = [j for j in range(len(m_prefix)) if hits[j]]
-        return ent[4]
-
-    def tally_base(self, ca: np.ndarray, stack: WarpStack, m_prefix: list[int]) -> int:
-        """``|ca| - |ca ∩ m_prefix|``, memoized per stack.
-
-        The unrestricted closed-form tally subtracts this same scalar
-        for every slot batch over a shared candidate array; both the
-        array object and the prefix outlive many batches, so the probe
-        runs once per (array, prefix) pair.
-        """
-        key = id(stack)
-        ent = self._tally_memo.get(key)
-        if ent is None or ent[0] is not ca or ent[1] != m_prefix:
-            ua = np.asarray(m_prefix, dtype=ca.dtype)
-            base = int(ca.size) - int(np.count_nonzero(member_sorted(ca, ua)))
-            ent = [ca, list(m_prefix), base]
-            self._tally_memo[key] = ent
-        return ent[2]  # type: ignore[no-any-return]
-
-    def used_excl(
-        self,
-        stack: WarpStack,
-        slot_arr: np.ndarray,
-        m_prefix: list[int],
-        inbound: bool,
-    ) -> np.ndarray:
-        """Per-slot ``#(m_prefix ∩ N(v))``, memoized per stack.
-
-        The gather-free leaf subtracts, for each slot vertex ``v``, how
-        many already-matched vertices sit in its neighbor list.  That
-        count depends only on ``(m_prefix, v)``, so a per-vertex count
-        vector is built eagerly whenever the prefix moves — one
-        scatter-add per prefix member over the *reverse* adjacency
-        (``x ∈ N_out(v), x = w ⟺ v ∈ N_in(w)``; each row has unique
-        entries, so ``memo[row] += 1`` tallies exactly) — and every
-        batch afterwards is a single gather.  ``inbound`` selects which
-        adjacency direction the candidates came from.
-        """
-        key = id(stack)
-        ent = self._excl_memo.get(key)
-        if ent is None or ent[0] != m_prefix or ent[1] != inbound:
-            g = self.graph
-            memo = np.zeros(g.num_vertices, dtype=np.int64)
-            for wv in m_prefix:
-                row = g.neighbors(wv) if inbound else g.in_neighbors(wv)
-                memo[row] += 1
-            ent = [list(m_prefix), inbound, memo]
-            self._excl_memo[key] = ent
-        counts: np.ndarray = ent[2][slot_arr]
-        return counts
-
-    def self_loops(self) -> np.ndarray:
-        """Boolean per-vertex self-loop mask, cached on the graph.
-
-        The gather-free leaf counts ``x == slot`` exclusions with one
-        gather instead of a per-segment search.  A vertex has ``v`` in
-        ``N_out(v)`` iff it has ``v`` in ``N_in(v)``, so one mask serves
-        outbound and inbound bases alike.  O(E) to build, once per
-        graph object (the graph is a frozen dataclass — same attach
-        idiom as its ``_reversed_cache``).
-        """
-        g = self.graph
-        mask = getattr(g, "_selfloop_mask", None)
-        if mask is None:
-            rows = np.repeat(
-                np.arange(g.num_vertices, dtype=np.int64), np.diff(g.indptr)
-            )
-            mask = np.zeros(g.num_vertices, dtype=bool)
-            mask[rows[g.indices == rows]] = True
-            object.__setattr__(g, "_selfloop_mask", mask)
-        return mask
-
-    @property
-    def has_self_loops(self) -> bool:
-        """Whether the graph has any self-loop (leaves skip the ``x ==
-        slot`` correction entirely on simple graphs)."""
-        got = self._has_self_loops
-        if got is None:
-            got = bool(self.self_loops().any())
-            self._has_self_loops = got
-        return got
+        self.kernel = compiled_kernel(plan, config)
 
     def compute_frame(
         self,
@@ -228,7 +45,7 @@ class CodegenCandidateComputer(CandidateComputer):
         slot_arr = np.asarray(slot_vertices, dtype=np.int32)
         if slot_arr.size == 0:
             raise ValueError("a frame needs at least one slot")
-        result: Frame | np.ndarray = self._levels[level](
-            self, warp, stack, slot_arr, count_only
+        result: Frame | np.ndarray = self.kernel.levels[level](
+            self.ops, warp, stack, slot_arr, count_only
         )
         return result

@@ -8,52 +8,41 @@ unrolled slots at once, applies merged label filters, and finally
 builds the *filtered* per-slot candidate arrays (injectivity +
 symmetry-breaking floor) the kernel loop iterates.
 
-Two backends share this contract (docs/PERFORMANCE.md):
+One contract, one oracle and one lowered program (docs/ARCHITECTURE.md
+§3.1):
 
 * the **reference path** (``fastpath=False``) evaluates every slot with
   its own Python loop — the legible Fig. 7 transliteration and the
   differential-testing oracle;
-* the **fast path** (``fastpath=True``, default) evaluates the whole
-  unrolled batch on segmented ``(values, segments)`` arrays: one CSR
-  gather for all slot neighbor lists, one ``searchsorted`` per set
-  operation, sorted-merge injectivity, per-frame memoized loop-invariant
-  operands, an optional adjacency-bitmap index for hub operands, and a
-  count-only mode that skips materializing last-level candidates.
+* the **fast path** (``fastpath=True``, default) walks the plan's
+  :class:`~repro.core.lowering.LevelProgram` and calls the
+  :mod:`~repro.core.levelops` functions, which evaluate the whole
+  unrolled batch on segmented ``(values, segments)`` arrays and own
+  every charge.  The codegen tier (``repro.codegen``) prints the same
+  walk unrolled and calls the same functions.
 
-Both produce byte-identical matches *and* byte-identical simulated
-cycle charges; only host wall-clock differs.
+All of them produce byte-identical matches *and* byte-identical
+simulated cycle charges; only host wall-clock differs.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from repro.codemotion.depgraph import BaseKind, OpKind
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
-from repro.virtgpu.setops import combined_set_op, combined_set_op_batch, membership_batch
+from repro.virtgpu.setops import combined_set_op
 from repro.virtgpu.warp import Warp
 
 from .config import EngineConfig
+from .levelops import LevelOps
+from .lowering import Leaf, LevelProgram, Src, lower
 from .stack import Frame, WarpStack
 
 __all__ = ["CandidateComputer"]
-
-_EMPTY = np.empty(0, dtype=np.int32)
-
-
-def _split_segments(values: np.ndarray, segments: np.ndarray, nslots: int) -> list[np.ndarray]:
-    """Per-slot views of a segment-sorted ``(values, segments)`` pair."""
-    if nslots == 1:
-        return [values]
-    bounds = np.searchsorted(segments, np.arange(1, nslots))
-    lo = 0
-    out = []
-    for hi in bounds:
-        out.append(values[lo:hi])
-        lo = hi
-    out.append(values[lo:])
-    return out
 
 
 class CandidateComputer:
@@ -117,20 +106,31 @@ class CandidateComputer:
         else:
             self._degree_need = None
             self._graph_degree = None
-        # fast-path state: the vectorized backend and its optional
-        # adjacency-bitmap index for high-degree operand vertices
         self.fastpath = bool(config.fastpath)
-        thr = config.bitmap_threshold
-        if self.fastpath and thr is not None:
-            self._bitmap: dict[int, np.ndarray] | None = graph.adjacency_bitmap(thr)
-            self._bitmap_in = (
-                graph.reversed_view().adjacency_bitmap(thr)
-                if graph.directed
-                else self._bitmap
+        if self.fastpath:
+            # the run-time half of the lowered program: label LUTs by
+            # set id (a LevelProgram names a filter by the set carrying
+            # it), the degree table, and the optional adjacency-bitmap
+            # index for high-degree operand vertices
+            thr = config.bitmap_threshold
+            bitmap = graph.adjacency_bitmap(thr) if thr is not None else None
+            bitmap_in = bitmap
+            if bitmap is not None and graph.directed:
+                bitmap_in = graph.reversed_view().adjacency_bitmap(thr)
+            self.ops = LevelOps(
+                graph, self.slot_capacity,
+                {sid: self._label_luts[r.label_filter]
+                 for sid, r in enumerate(self.program.recipes)
+                 if r.label_filter in self._label_luts},
+                self._graph_degree, bitmap, bitmap_in,
             )
-        else:
-            self._bitmap = None
-            self._bitmap_in = None
+
+    @cached_property
+    def levels(self) -> tuple[LevelProgram, ...]:
+        """The plan lowered for this config; ``levels[l - 1]`` is level
+        ``l`` (lowered on first use: compiled kernels never walk it)."""
+        return lower(self.plan, bool(self.config.degree_filter),
+                     self.config.bitmap_threshold is not None)
 
     @property
     def supports_count_only(self) -> bool:
@@ -230,12 +230,11 @@ class CandidateComputer:
         then skips materializing the last-level candidate arrays
         entirely.  Cycle charges are identical either way.
         """
-        nslots = int(np.asarray(slot_vertices).size)
-        if nslots == 0:
+        slot_arr = np.asarray(slot_vertices, dtype=np.int32)
+        if slot_arr.size == 0:
             raise ValueError("a frame needs at least one slot")
         if self.fastpath:
-            return self._compute_frame_fast(warp, stack, level, slot_vertices,
-                                            count_only=count_only)
+            return self._walk(warp, stack, level, slot_arr, count_only)
         frame = self._compute_frame_ref(warp, stack, level, slot_vertices)
         if count_only:
             return np.asarray([c.size for c in frame.cand], dtype=np.int64)
@@ -315,254 +314,65 @@ class CandidateComputer:
 
     # -- vectorized fast path ----------------------------------------------
 
-    def _compute_frame_fast(
+    def _walk(
         self,
         warp: Warp | None,
         stack: WarpStack,
         level: int,
-        slot_vertices: np.ndarray,
-        count_only: bool = False,
-    ) -> Frame | np.ndarray:
-        """Segmented backend: the whole unrolled batch per numpy call.
-
-        Candidate data flows as ``(values, segments)`` pairs — all
-        slots' elements in one segment-sorted array.  Charges mirror the
-        reference path call for call (same amounts, same order), so the
-        simulated clock advances bit-identically.
-        """
-        graph = self.graph
-        program = self.program
-        n = graph.num_vertices
-        nslots = int(slot_vertices.size)
-        slot_arr = np.asarray(slot_vertices, dtype=np.int32)
-        m_prefix = stack.match_up_to(level - 1)
-        seg_ids = np.arange(nslots, dtype=np.int64)
-
-        # per-frame operand memo: invariant operands (positions below
-        # level-1, where code motion lifts loop-invariant work) resolve
-        # once per frame; the level-1 operand is one batched CSR gather
-        # shared by every recipe that reads it.  Entries are
-        # (values, offsets) — offsets None means one broadcast array.
-        operand_memo: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray | None]] = {}
-        keys_memo: dict[tuple[int, bool], np.ndarray] = {}
-        base_memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-        def operand(position: int, inbound: bool) -> tuple[np.ndarray, np.ndarray | None]:
-            key = (position, inbound)
-            got = operand_memo.get(key)
-            if got is None:
-                if position == level - 1:
-                    g = graph.reversed_view() if inbound else graph
-                    got = g.neighbors_batch(slot_arr)
-                else:
-                    v = m_prefix[position]
-                    nb = graph.in_neighbors(v) if inbound else graph.neighbors(v)
-                    got = (nb, None)
-                operand_memo[key] = got
-            return got
-
-        def keyed_membership(vals, segs, position, inbound, opv, opo):
-            """Memoized keyed-searchsorted membership for segmented operands."""
-            key = (position, inbound)
-            k = keys_memo.get(key)
-            if k is None:
-                op_seg = np.repeat(seg_ids, opo[1:] - opo[:-1])
-                k = op_seg * n + opv.astype(np.int64)
-                keys_memo[key] = k
-            if k.size == 0 or vals.size == 0:
-                return np.zeros(vals.shape, dtype=bool)
-            val_keys = segs * n + vals.astype(np.int64)
-            pos = np.searchsorted(k, val_keys)
-            np.minimum(pos, k.size - 1, out=pos)
-            return k[pos] == val_keys
-
-        def label_filter_seg(vals, segs, flt):
-            if flt is None or vals.size == 0:
-                return vals, segs
-            if graph.labels is None:
-                raise ValueError("labeled plan on unlabeled data graph")
-            keep = self._label_luts[flt][graph.labels[vals]]
-            return vals[keep], segs[keep]
-
-        frame_seg: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        cap = self.slot_capacity
-        for sid in program.sets_at_level[level]:
-            r = program.recipes[sid]
-            if r.base is BaseKind.NEIGHBORS:
-                bkey = ("N", r.base_arg, r.base_inbound)
-                got = base_memo.get(bkey)
-                if got is None:
-                    bvals, boffs = operand(r.base_arg, r.base_inbound)
-                    if boffs is None:
-                        got = (np.tile(bvals, nslots),
-                               np.repeat(seg_ids, bvals.size))
-                    else:
-                        got = (bvals, np.repeat(seg_ids, boffs[1:] - boffs[:-1]))
-                    base_memo[bkey] = got
-                vals, segs = got
-            elif r.base is BaseKind.REF:
-                dep = program.recipes[r.base_arg]
-                if dep.level == level:
-                    vals, segs = frame_seg[r.base_arg]
-                else:
-                    bkey = ("R", r.base_arg)
-                    got = base_memo.get(bkey)
-                    if got is None:
-                        arr = stack.frames[dep.level].set_instance(r.base_arg)
-                        got = (np.tile(arr, nslots),
-                               np.repeat(seg_ids, arr.size))
-                        base_memo[bkey] = got
-                    vals, segs = got
-            else:  # ALL only appears at level 0, handled by root_frame
-                raise AssertionError("ALL base outside the root frame")
-            if not r.ops:
-                base_total = int(vals.size)
-                vals, segs = label_filter_seg(vals, segs, r.label_filter)
-                if warp is not None:
-                    warp.charge_copy(base_total)
-            else:
-                for op in r.ops:
-                    opv, opo = operand(op.position, op.inbound)
-                    found = self._bitmap_membership(
-                        vals, segs, op.position, op.inbound,
-                        opv, opo, slot_arr, m_prefix, level, nslots,
-                    )
-                    if found is None and opo is not None:
-                        found = keyed_membership(vals, segs, op.position,
-                                                 op.inbound, opv, opo)
-                    vals, segs = combined_set_op_batch(
-                        warp, vals, segs, opv, opo,
-                        difference=op.kind is OpKind.DIFFERENCE,
-                        stride=n, found=found,
-                    )
-                vals, segs = label_filter_seg(vals, segs, r.label_filter)
-            if warp is not None and vals.size > cap:
-                # only possible to spill when the whole batch outgrows one slot
-                counts = np.bincount(segs, minlength=nslots)
-                over = int(np.maximum(counts - cap, 0).sum())
-                if over:
-                    warp.charge(warp.cost.host_access * warp.cost.rounds(over))
-            frame_seg[sid] = (vals, segs)
-
-        # filtered candidates for position `level`, all slots at once
-        sid_c = program.candidate_of_level[level]
-        r_c = program.recipes[sid_c]
-        if r_c.level == level:
-            cvals, csegs = frame_seg[sid_c]
-        else:
-            arr = stack.frames[r_c.level].set_instance(sid_c)
-            cvals = np.tile(arr, nslots)
-            csegs = np.repeat(seg_ids, arr.size)
-        total_filtered = int(cvals.size)
-        if total_filtered:
-            # fused filtering: the level label, degree need, symmetry
-            # floor and injectivity are independent elementwise
-            # predicates, so one combined mask replaces the reference
-            # path's four sequential compactions (same surviving set)
-            slot_of = slot_arr[csegs]
-            restrictions = self.plan.restrictions[level]
-            if restrictions:
-                # per-slot symmetry floor: invariant part from the
-                # prefix, plus the slot's vertex when level-1 is restricted
-                base_floor = -1
-                uses_slot = False
-                for i in restrictions:
-                    if i == level - 1:
-                        uses_slot = True
-                    elif m_prefix[i] > base_floor:
-                        base_floor = m_prefix[i]
-                if uses_slot:
-                    floors = np.maximum(slot_of.astype(np.int64), base_floor)
-                    keep = cvals > floors
-                else:
-                    keep = cvals > base_floor
-            else:
-                keep = None
-            # injectivity by sorted-merge membership (no np.isin): the
-            # prefix is shared by all slots, the slot vertex varies
-            if m_prefix:
-                used = np.sort(np.asarray(m_prefix, dtype=cvals.dtype))
-                pos = np.searchsorted(used, cvals)
-                np.minimum(pos, used.size - 1, out=pos)
-                hit = used[pos] == cvals
-                hit |= cvals == slot_of
-            else:
-                hit = cvals == slot_of
-            np.logical_not(hit, out=hit)
-            keep = hit if keep is None else (keep & hit)
-            lab = self._level_label[level]
-            if lab is not None:
-                keep &= graph.labels[cvals] == lab
-            if self._degree_need is not None:
-                need = self._degree_need[level]
-                if need > 1:
-                    keep &= self._graph_degree[cvals] >= need
-            if self.pins is not None:
-                pin = self.pins.get(level)
-                if pin is not None:
-                    keep &= cvals == pin
-            if count_only:
-                if warp is not None:
-                    warp.charge_filter(total_filtered)
-                counts = np.bincount(csegs[keep], minlength=nslots)
-                return counts.astype(np.int64)
-            cvals, csegs = cvals[keep], csegs[keep]
-        if warp is not None and total_filtered:
-            warp.charge_filter(total_filtered)
-        if count_only:
-            return np.zeros(nslots, dtype=np.int64)
-        return Frame(
-            level=level,
-            slot_vertices=slot_arr,
-            cand=_split_segments(cvals, csegs, nslots),
-            sets={
-                sid: _split_segments(v, s, nslots)
-                for sid, (v, s) in frame_seg.items()
-            },
-        )
-
-    def _bitmap_membership(
-        self,
-        vals: np.ndarray,
-        segs: np.ndarray,
-        position: int,
-        inbound: bool,
-        opv: np.ndarray,
-        opo: np.ndarray | None,
         slot_arr: np.ndarray,
-        m_prefix: list[int],
-        level: int,
-        nslots: int,
-    ) -> np.ndarray | None:
-        """Membership mask via the adjacency-bitmap index, when it applies.
-
-        Returns ``None`` when no bitmap row covers the operand vertex
-        (or the index is disabled) — the caller then falls back to the
-        keyed ``searchsorted``.  Bitmap hits are exact set membership,
-        so results are identical; only host time changes.
-        """
-        bm = self._bitmap_in if inbound else self._bitmap
-        if bm is None or vals.size == 0:
-            return None
-        if opo is None:  # broadcast operand: one invariant vertex
-            row = bm.get(int(m_prefix[position]))
-            return None if row is None else row[vals]
-        hot = [u for u in range(nslots) if int(slot_arr[u]) in bm]
-        if not hot:
-            return None
-        found = np.empty(vals.size, dtype=bool)
-        bounds = np.searchsorted(segs, np.arange(nslots + 1))
-        for u in range(nslots):
-            sl = slice(int(bounds[u]), int(bounds[u + 1]))
-            seg_vals = vals[sl]
-            row = bm.get(int(slot_arr[u]))
-            if row is not None:
-                found[sl] = row[seg_vals]
+        count_only: bool,
+    ) -> Frame | np.ndarray:
+        """Walk the level's lowered program: lowering fixed the order,
+        the ops own the NumPy work and every charge.  ``repro.codegen``
+        prints this same walk unrolled, constants frozen."""
+        lp = self.levels[level - 1]
+        ops = self.ops
+        frames = stack.frames
+        nslots = int(slot_arr.size)
+        m_prefix = stack.match_up_to(level - 1)
+        pin = self.pins.get(level) if self.pins is not None else None
+        # a count-only leaf stands down when the level is pinned
+        leaf = lp.leaf if count_only and pin is None else Leaf.NONE
+        if leaf is Leaf.GATHER_FREE:
+            return ops.leaf_gather_free(warp, stack, slot_arr, m_prefix, lp.gathers[0].inbound)
+        if leaf is Leaf.FLIPPED:
+            t = lp.tiles[0]
+            return ops.leaf_flipped(warp, stack, slot_arr, m_prefix,
+                                    frames[t.level].set_instance(t.sid), lp.gathers[0].inbound)
+        opnds = [
+            ops.gather_slots(slot_arr, g.inbound, g.keyed) if g.per_slot
+            else ops.gather_prefix(m_prefix[g.position], g.inbound)
+            for g in lp.gathers
+        ]
+        tiles = [
+            ops.tile(opnds[t.gather].vals if t.gather >= 0
+                     else frames[t.level].set_instance(t.sid), nslots)
+            for t in lp.tiles
+        ]
+        sets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for st in lp.steps:
+            if st.src is Src.GATHER:
+                vals, segs = opnds[st.arg].vals, opnds[st.arg].segs
+            elif st.src is Src.TILE:
+                vals, segs = tiles[st.arg]
             else:
-                found[sl] = membership_batch(
-                    seg_vals, None, opv[opo[u]: opo[u + 1]], None, None
-                )
-        return found
+                vals, segs = sets[st.arg]
+            for op in st.ops:
+                opnd = opnds[op.gather]
+                found = ops.bitmap_found(vals, segs, opnd, slot_arr) if op.bitmap else None
+                vals, segs = ops.set_op(warp, vals, segs, opnd, op.difference, found)
+            sets[st.sid] = ops.seal(warp, vals, segs, st.sid if st.labels is not None else None,
+                                    nslots, not st.ops)
+        if lp.cand_level == level:
+            cand = sets[lp.cand_sid]
+        else:
+            ca = frames[lp.cand_level].set_instance(lp.cand_sid)
+            if leaf is Leaf.TALLY:
+                return ops.leaf_tally(warp, stack, slot_arr, m_prefix, ca, lp.floor_positions,
+                                      lp.uses_slot, lp.label, lp.degree_need)
+            cand = ops.tile(ca, nslots)
+        return ops.finish(warp, level, slot_arr, m_prefix, cand, lp.floor_positions,
+                          lp.uses_slot, lp.label, lp.degree_need, count_only, sets, pin)
 
     def _filter_candidates(
         self, raw: np.ndarray, level: int, m_prefix: list[int], slot_vertex: int

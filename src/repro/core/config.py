@@ -118,15 +118,16 @@ class EngineConfig:
     #   re-queued onto surviving shards' devices — never a hang.
     #   None (default) waits indefinitely, matching serial semantics.
     codegen: bool = False
-    #   compiled per-query kernel tier (repro.codegen): specialize the
-    #   fast-path getCandidates per (query, schedule) by emitting and
-    #   exec-ing Python source with the plan's set ops inlined and all
-    #   constants frozen, cached in a graph-independent process-wide
-    #   LRU.  Semantics- and cost-model-preserving like fastpath itself:
-    #   matches, simulated cycles, steal schedules and tracer streams
-    #   are byte-identical (tests/test_codegen_identity.py); only host
-    #   wall-clock changes.  Requires fastpath=True; the REPRO_CODEGEN
-    #   env var overrides at resolution time for CI matrices.
+    #   compiled per-query kernel tier (repro.codegen): print the fast
+    #   path's walk of the lowered level program (core/lowering.py) as
+    #   Python source per (query, schedule) — step loop unrolled,
+    #   constants frozen — exec it once and cache it in a
+    #   graph-independent process-wide LRU.  It calls the same
+    #   core/levelops.py functions as the interpreted walk, so matches,
+    #   simulated cycles, steal schedules and tracer streams are
+    #   identical by construction; only host wall-clock changes.
+    #   Requires fastpath=True; the REPRO_CODEGEN env var overrides at
+    #   resolution time for CI matrices.
     graph_backend: str = "memory"
     #   graph residency backend (repro.scale.backend): "memory" keeps
     #   the CSR arrays in RAM; "memmap" spills them once to an on-disk

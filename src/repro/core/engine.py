@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.codegen.cache import LRUCache, resolve_codegen
 from repro.graph.csr import CSRGraph
+from repro.lru import LRUCache
 from repro.pattern.plan import MatchingPlan, build_plan
 from repro.pattern.query import QueryGraph
 from repro.virtgpu.device import VirtualDevice
@@ -352,10 +352,14 @@ class STMatchEngine:
         (anchored) runs always interpret: the emitted per-plan modules
         freeze a pin-free candidate pipeline.
         """
-        if pins is None and cfg.fastpath and resolve_codegen(cfg):
-            from repro.codegen.computer import CodegenCandidateComputer
+        if pins is None and cfg.fastpath:
+            # core reaches repro.codegen only lazily: imports run one way
+            from repro.codegen.cache import resolve_codegen
 
-            return CodegenCandidateComputer(self.graph, plan, cfg)
+            if resolve_codegen(cfg):
+                from repro.codegen.computer import CodegenCandidateComputer
+
+                return CodegenCandidateComputer(self.graph, plan, cfg)
         return CandidateComputer(self.graph, plan, cfg, pins=pins)
 
     def _build_report(

@@ -1,14 +1,11 @@
-"""Runtime helpers called by generated kernels.
+"""Sorted membership: the one search every fast-tier set op reduces to.
 
-``member_sorted`` is the one primitive every generated set op reduces
-to: membership of ``needles`` in a sorted unique ``hay`` array (plain
-for broadcast operands, over ``segment * stride + value`` keys for
-segmented operands).  When :mod:`numba` is importable the binary search
-runs as an ``njit``-compiled loop; otherwise the pure-NumPy
-``searchsorted`` fallback is used.  Both produce identical boolean
-masks — numba changes host wall-clock only, never results, so the
-generated *source* is byte-identical whether or not numba is present
-(the dispatch happens here, not in the emitter).
+``member_sorted`` tests ``needles`` against a sorted unique ``hay``
+array (plain for shared operands, over ``segment * stride + value``
+keys for per-slot operands).  When :mod:`numba` is importable the
+binary search runs as an ``njit``-compiled loop; otherwise the
+pure-NumPy ``searchsorted`` fallback is used.  Both produce identical
+boolean masks — numba changes host wall-clock only, never results.
 """
 
 from __future__ import annotations

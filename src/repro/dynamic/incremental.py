@@ -38,10 +38,10 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.codegen.cache import LRUCache
 from repro.core.config import EngineConfig
 from repro.core.counters import RunStatus
 from repro.core.engine import STMatchEngine
+from repro.lru import LRUCache
 from repro.pattern.matching_order import is_connected_order
 from repro.pattern.plan import MatchingPlan, build_plan
 from repro.pattern.symmetry import num_automorphisms

@@ -12,7 +12,7 @@ randomized request interleavings in ``tests/test_serve_cache.py``.
 Only *exact* counts are cached: a budget-truncated or degraded answer
 depends on the budget that cut it, and callers asking for the full
 count must never receive one.  Built on the shared counting
-:class:`~repro.codegen.cache.LRUCache` (thread-safe), so hit/miss/
+:class:`~repro.lru.LRUCache` (thread-safe), so hit/miss/
 eviction telemetry lands in service stats like every other cache.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.codegen.cache import LRUCache
+from repro.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import EngineConfig

@@ -110,6 +110,23 @@ class TestThreeWayIdentity:
             _assert_three_way(
                 *_run_three_way(g, QUERIES[qname], unroll=unroll))
 
+    def test_unroll_factors_share_one_kernel(self):
+        # unroll sizes the slot batches at run time; the emitted code
+        # never reads it, so it is not part of the code-cache key
+        g = _random_graph(22, 0.35, seed=5)
+        plan = cached_plan(g, QUERIES["q4"])
+        clear_code_cache(reset_stats=True)
+        kernels = [
+            compiled_kernel(plan, EngineConfig(fastpath=True, codegen=True,
+                                               unroll=unroll))
+            for unroll in (1, 4, 8)
+        ]
+        assert kernels[0] is kernels[1] is kernels[2]
+        stats = code_cache_stats()
+        assert (stats["size"], stats["misses"], stats["hits"]) == (1, 1, 2)
+        assert "unroll=" not in kernels[0].source
+        clear_code_cache(reset_stats=True)
+
     def test_vertex_induced(self):
         g = _random_graph(20, 0.4, seed=3)
         q = QUERIES["q4"]

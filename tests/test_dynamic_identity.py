@@ -197,3 +197,33 @@ class TestOverlayEngineEquivalence:
             a = STMatchEngine(ov, cfg).run(q)
             b = STMatchEngine(compact, cfg).run(q)
             assert a.matches == b.matches
+
+    @pytest.mark.parametrize("induced", [False, True],
+                             ids=["edge", "vertex-induced"])
+    @pytest.mark.parametrize("qname", [f"q{i}" for i in range(1, 25)])
+    def test_overlay_equals_compacted_on_both_fast_tiers(self, qname, induced):
+        # regression: the count-only leaves once read graph.indptr /
+        # graph.indices, which on an overlay are the *base* CSR arrays,
+        # so codegen counts (and cycles) on an edited overlay silently
+        # diverged.  Half the vertices are touched here, so slot
+        # vertices with merged rows reach every leaf; the budget caps
+        # the large cells (identical charge order = identical cut).
+        import networkx as nx
+
+        g = CSRGraph.from_networkx(
+            nx.powerlaw_cluster_graph(24, 4, 0.5, seed=3), name="ov")
+        rng = np.random.default_rng(7)
+        edges = list(g.edges())
+        deletes = [edges[i] for i in rng.choice(len(edges), 12, replace=False)]
+        inserts = [(u, v) for u, v in rng.integers(0, 24, (200, 2)).tolist()
+                   if u != v and not g.has_edge(u, v)][:12]
+        ov = OverlayGraph.from_edits(
+            g, EditBatch.from_lists(inserts=inserts, deletes=deletes))
+        compact = ov.compact()
+        q = QUERIES[qname]
+        for codegen in (False, True):
+            cfg = EngineConfig(codegen=codegen, max_results=5_000)
+            a = STMatchEngine(ov, cfg).run(q, vertex_induced=induced)
+            b = STMatchEngine(compact, cfg).run(q, vertex_induced=induced)
+            assert (a.matches, a.cycles, a.status) == \
+                (b.matches, b.cycles, b.status), (qname, induced, codegen)

@@ -1,0 +1,307 @@
+"""The lowered level program and its run-time ops, tested as code.
+
+What used to exist only as emitted string literals is now
+``repro.core.lowering`` (pure) and ``repro.core.levelops`` (NumPy +
+charges), so it gets ordinary unit tests:
+
+* ``lower()`` is deterministic and schedules every set id exactly once
+  over q1–q24 × {unlabeled, labeled} × {edge, vertex-induced} ×
+  ``degree_filter``;
+* every count-only leaf equals the generic fused-filter path — per-slot
+  counts *and* the recorded charge / tracer stream — on randomly built
+  stacks, on simple, self-loop, directed and overlay graphs, with warm
+  and invalidated memos; a pinned last level makes the leaf stand down.
+"""
+
+import numpy as np
+import pytest
+
+from repro import QueryGraph
+from repro.core.candidates import CandidateComputer
+from repro.core.config import EngineConfig
+from repro.core.levelops import LevelOps
+from repro.core.lowering import Leaf, Src, lower
+from repro.core.stack import Frame, WarpStack
+from repro.dynamic import EditBatch, OverlayGraph
+from repro.graph import CSRGraph
+from repro.graph.labels import assign_random_labels
+from repro.pattern import QUERIES, build_plan
+from repro.virtgpu.warp import Warp
+
+ALL_QUERIES = [f"q{i}" for i in range(1, 25)]
+
+
+def _labeled(q: QueryGraph) -> QueryGraph:
+    return q.with_labels(np.arange(q.size, dtype=np.int32) % 3)
+
+
+# ---------------------------------------------------------------------------
+# lowering
+# ---------------------------------------------------------------------------
+
+
+class TestLowering:
+    @pytest.mark.parametrize("qname", ALL_QUERIES)
+    def test_deterministic_and_schedules_every_set_once(self, qname):
+        for labeled in (False, True):
+            q = _labeled(QUERIES[qname]) if labeled else QUERIES[qname]
+            for induced in (False, True):
+                plan = build_plan(q, vertex_induced=induced)
+                again = build_plan(q, vertex_induced=induced)
+                for degree_filter in (False, True):
+                    levels = lower(plan, degree_filter, False)
+                    assert levels == lower(again, degree_filter, False)
+                    assert [lp.level for lp in levels] == list(range(1, plan.size))
+                    scheduled = list(plan.program.sets_at_level[0])
+                    for lp in levels:
+                        self._check_level(plan, lp)
+                        scheduled += [st.sid for st in lp.steps]
+                    assert sorted(scheduled) == list(range(plan.program.num_sets))
+
+    @staticmethod
+    def _check_level(plan, lp):
+        assert [st.sid for st in lp.steps] == list(plan.program.sets_at_level[lp.level])
+        assert lp.cand_sid == plan.program.candidate_of_level[lp.level]
+        keys = [(g.position, g.inbound) for g in lp.gathers]
+        assert len(set(keys)) == len(keys)  # each neighbor list read once
+        for g in lp.gathers:
+            assert g.per_slot == (g.position == lp.level - 1)
+            assert not g.keyed or g.per_slot
+        for t in lp.tiles:
+            assert (t.gather >= 0 and not lp.gathers[t.gather].per_slot) or t.level < lp.level
+        done = set()
+        for st in lp.steps:
+            if st.src is Src.LOCAL:
+                assert st.arg in done  # dependence-safe order
+            elif st.src is Src.GATHER:
+                assert lp.gathers[st.arg].per_slot
+            else:
+                assert 0 <= st.arg < len(lp.tiles)
+            for op in st.ops:
+                g = lp.gathers[op.gather]
+                assert g.keyed == g.per_slot
+            done.add(st.sid)
+        restricted = set(plan.restrictions[lp.level])
+        assert set(lp.floor_positions) | ({lp.level - 1} if lp.uses_slot else set()) == restricted
+        if lp.leaf is not Leaf.NONE:
+            assert lp.level == plan.size - 1 and lp.level >= 2
+
+    def test_bitmap_flag_reaches_every_op(self):
+        plan = build_plan(QUERIES["q6"])
+        for on in (False, True):
+            ops = [op for lp in lower(plan, False, on) for st in lp.steps for op in st.ops]
+            assert ops and all(op.bitmap is on for op in ops)
+
+    def test_every_leaf_kind_is_produced(self):
+        kinds = {lower(build_plan(QUERIES[q]), False, False)[-1].leaf for q in ALL_QUERIES}
+        assert kinds == set(Leaf)
+
+
+# ---------------------------------------------------------------------------
+# leaves vs the generic fused-filter path
+# ---------------------------------------------------------------------------
+
+
+class Recorder:
+    """Tracer stand-in: records every hook call (minus the warp)."""
+
+    def __init__(self):
+        self.events = []
+
+    def __getattr__(self, name):
+        return lambda warp, *args: self.events.append((name, args))
+
+
+def _warp():
+    return Warp(warp_id=0, block_id=0, tracer=Recorder())
+
+
+def _stream(warp):
+    c = warp.counters
+    return (warp.tracer.events, warp.clock, c.set_ops, c.copies, c.filters, c.rounds,
+            c.busy_lanes)
+
+
+def _random_graph(rng, n=28, p=0.3, directed=False, self_loops=False) -> CSRGraph:
+    mask = rng.random((n, n)) < p
+    if not directed:
+        mask = np.triu(mask, 1)
+        mask = mask | mask.T
+    np.fill_diagonal(mask, rng.random(n) < 0.4 if self_loops else False)
+    rows = [np.nonzero(mask[v])[0].astype(np.int32) for v in range(n)]
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
+    return CSRGraph(indptr=indptr, indices=np.concatenate(rows), directed=directed)
+
+
+def _overlay(rng, g: CSRGraph) -> OverlayGraph:
+    edges = list(g.edges())
+    deletes = [edges[i] for i in rng.choice(len(edges), 12, replace=False)]
+    n = g.num_vertices
+    inserts = [(u, v) for u, v in rng.integers(0, n, (120, 2)).tolist()
+               if u != v and not g.has_edge(u, v)][:12]
+    return OverlayGraph.from_edits(g, EditBatch.from_lists(inserts=inserts, deletes=deletes))
+
+
+GRAPHS = {
+    "simple": lambda rng: _random_graph(rng),
+    "self-loops": lambda rng: _random_graph(rng, self_loops=True),
+    "directed": lambda rng: _random_graph(rng, directed=True),
+    "directed-self-loops": lambda rng: _random_graph(rng, directed=True, self_loops=True),
+    "overlay": lambda rng: _overlay(rng, _random_graph(rng)),
+}
+
+
+def _fake_stack(prefix) -> WarpStack:
+    """Frames 0 .. len(prefix): frame ``j`` matched ``prefix[j - 1]``."""
+    frames = [Frame(level=0, slot_vertices=np.empty(0, np.int32), cand=[np.empty(0, np.int32)])]
+    for j, v in enumerate(prefix, start=1):
+        frames.append(Frame(level=j, slot_vertices=np.asarray([v], np.int32),
+                            cand=[np.empty(0, np.int32)]))
+    return WarpStack(frames=frames)
+
+
+def _ops(graph, need) -> LevelOps:
+    deg = graph.degree()
+    if graph.directed:
+        deg = deg + graph.reversed_view().degree()
+    cap = max(int(graph.max_degree()) // 2, 1)  # small enough to spill
+    return LevelOps(graph, cap, {}, deg if need else None, None, None)
+
+
+def _cases(rng, graph, rounds=6):
+    """(stack, prefix, slots, shared) draws on ONE stack object, so the
+    per-stack memos are exercised: round 1 and 4 hit them warm, the
+    prefix moves in the others, and the shared array (``ref`` / ``ca``)
+    is replaced at round 3."""
+    n = graph.num_vertices
+    perm = rng.permutation(n).tolist()
+    stack = _fake_stack([0, 0, 0])
+    for r in range(rounds):
+        if r % 3 == 0:
+            shared = np.sort(rng.choice(n, rng.integers(0, n), replace=False)).astype(np.int32)
+        if r % 3 != 1:
+            prefix = perm[r: r + 3]
+            for j, v in enumerate(prefix, start=1):
+                stack.frames[j].slot_vertices = np.asarray([v], np.int32)
+        free = np.setdiff1d(np.arange(n), prefix)
+        slots = np.sort(rng.choice(free, rng.integers(1, 9), replace=False)).astype(np.int32)
+        yield stack, prefix, slots, shared
+
+
+@pytest.mark.parametrize("gname", list(GRAPHS))
+class TestLeavesEqualGenericPath:
+    def test_gather_free(self, gname):
+        rng = np.random.default_rng(1)
+        graph = GRAPHS[gname](rng)
+        for inbound in ((False, True) if graph.directed else (False,)):
+            ops = _ops(graph, need=False)
+            for stack, prefix, slots, _ in _cases(rng, graph):
+                a, b = _warp(), _warp()
+                got = ops.leaf_gather_free(a, stack, slots, prefix, inbound)
+                g = ops.gather_slots(slots, inbound, False)
+                cand = ops.seal(b, g.vals, g.segs, None, slots.size, True)
+                want = ops.finish(b, 4, slots, prefix, cand, (), False, None, 0, True, {})
+                assert got.tolist() == want.tolist()
+                assert _stream(a) == _stream(b)
+
+    def test_flipped(self, gname):
+        rng = np.random.default_rng(2)
+        graph = GRAPHS[gname](rng)
+        for inbound in ((False, True) if graph.directed else (False,)):
+            ops = _ops(graph, need=False)
+            for stack, prefix, slots, ref in _cases(rng, graph):
+                a, b = _warp(), _warp()
+                got = ops.leaf_flipped(a, stack, slots, prefix, ref, inbound)
+                g = ops.gather_slots(slots, inbound, True)
+                vals, segs = ops.set_op(b, *ops.tile(ref, slots.size), g, False)
+                cand = ops.seal(b, vals, segs, None, slots.size)
+                want = ops.finish(b, 4, slots, prefix, cand, (), False, None, 0, True, {})
+                assert got.tolist() == want.tolist()
+                assert _stream(a) == _stream(b)
+
+    @pytest.mark.parametrize("uses_slot", [False, True])
+    @pytest.mark.parametrize("floor_positions", [(), (1,), (0, 2)])
+    @pytest.mark.parametrize("label,need", [(None, 0), (1, 0), (None, 3), (2, 2)])
+    def test_tally(self, gname, uses_slot, floor_positions, label, need):
+        rng = np.random.default_rng(3)
+        graph = GRAPHS[gname](rng)
+        if label is not None:
+            if isinstance(graph, OverlayGraph):
+                pytest.skip("labels ride on the base graph; covered by the CSR cases")
+            graph = assign_random_labels(graph, num_labels=3, seed=5)
+        ops = _ops(graph, need=need > 1)
+        consts = (floor_positions, uses_slot, label, need)
+        for stack, prefix, slots, ca in _cases(rng, graph):
+            a, b = _warp(), _warp()
+            got = ops.leaf_tally(a, stack, slots, prefix, ca, *consts)
+            want = ops.finish(b, 4, slots, prefix, ops.tile(ca, slots.size), *consts, True, {})
+            assert got.tolist() == want.tolist()
+            assert _stream(a) == _stream(b)
+
+
+# ---------------------------------------------------------------------------
+# the walk: leaf on, leaf off (frame path), reference path, pins
+# ---------------------------------------------------------------------------
+
+
+def _descend(comp, rng, unroll):
+    """A random live stack down to the frame above the last level, plus
+    one batch of its candidates — or ``None`` when the draw dead-ends."""
+    stack = WarpStack()
+    stack.push(comp.root_frame(comp.root_candidates))
+    for level in range(1, comp.plan.size):
+        top = stack.top
+        live = [u for u in range(top.nslots) if top.cand[u].size]
+        if not live:
+            return None
+        top.uiter = int(rng.choice(live))
+        top.iter = int(rng.integers(0, top.cand[top.uiter].size))
+        batch = top.cand[top.uiter][top.iter: top.iter + unroll]
+        if level == comp.plan.size - 1:
+            return stack, batch
+        stack.push(comp.compute_frame(None, stack, level, batch))
+    return None
+
+
+@pytest.mark.parametrize("gname", list(GRAPHS))
+def test_walk_leaf_equals_frame_path_and_reference(gname):
+    rng = np.random.default_rng(4)
+    graph = GRAPHS[gname](rng)
+    if graph.directed:
+        queries = [QueryGraph.from_arcs(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+                   QueryGraph.from_arcs(4, [(1, 0), (2, 1), (3, 2)]),
+                   QueryGraph.from_arcs(3, [(1, 0), (2, 0)])]
+    else:
+        queries = [QUERIES[q] for q in ("q1", "q2", "q5", "q7", "q11", "q15")]
+    seen = set()
+    for q in queries:
+        plan = build_plan(q)
+        fast = CandidateComputer(graph, plan, EngineConfig(max_degree=8))
+        ref = CandidateComputer(graph, plan, EngineConfig(max_degree=8, fastpath=False))
+        last = plan.size - 1
+        seen.add(fast.levels[-1].leaf)
+        for _ in range(12):
+            drawn = _descend(fast, rng, unroll=4)
+            if drawn is None:
+                continue
+            stack, batch = drawn
+            a, b, c = _warp(), _warp(), _warp()
+            counts = fast.compute_frame(a, stack, last, batch, count_only=True)
+            frame = fast.compute_frame(b, stack, last, batch)
+            oracle = ref.compute_frame(c, stack, last, batch)
+            assert counts.tolist() == [x.size for x in frame.cand] == \
+                [x.size for x in oracle.cand]
+            assert _stream(a) == _stream(b) == _stream(c)
+            # a pinned last level: the leaf must stand down
+            pin = int(frame.cand[0][0]) if frame.cand[0].size else int(batch[0])
+            pinned = CandidateComputer(graph, plan, EngineConfig(max_degree=8), pins={last: pin})
+            pinned_ref = CandidateComputer(graph, plan, EngineConfig(max_degree=8, fastpath=False),
+                                           pins={last: pin})
+            d, e = _warp(), _warp()
+            got = pinned.compute_frame(d, stack, last, batch, count_only=True)
+            want = pinned_ref.compute_frame(e, stack, last, batch)
+            assert got.tolist() == [x.size for x in want.cand]
+            assert max(got.tolist()) <= 1
+            assert _stream(d) == _stream(e)
+    if not graph.directed:
+        assert seen == set(Leaf)
