@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Where a kernel pass spends its steps: count and host µs per step kind.
+
+    python3 scripts/step_kinds.py                       # the three engine workloads
+    python3 scripts/step_kinds.py dense_count --seed 3
+    PYTHONPATH=/path/to/other/checkout/src python3 scripts/step_kinds.py   # another commit
+
+Runs one warm pass of ``benchmarks/perf``'s engine workloads with
+``WarpTask.step`` wrapped from outside (nothing under ``src/`` knows),
+and prints per workload
+
+* the step kinds — ``leaf`` (a count-only last-level batch), ``frame``
+  (any other ``compute_frame`` step), ``pop`` (slot advance / frame pop),
+  ``acquire`` (root chunk or successful steal), ``idle-poll`` (a spin
+  iteration that found nothing), ``retire``;
+* how many UNROLL batches a parent slot is cut into before its leaf
+  steps are done (the histogram the count-only leaves' plan-once /
+  replay-per-batch split is sized from).
+
+It is the source of docs/PERFORMANCE.md § "Where the time goes"; the
+timer adds ~0.3 µs per step, so read the columns against each other,
+not against ``run.py``'s ``run_s``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "benchmarks" / "perf"))
+if not any(Path(p, "repro").is_dir() for p in sys.path if p):
+    sys.path.insert(0, str(REPO / "src"))
+
+from repro.core.kernel import WarpTask  # noqa: E402
+from repro.virtgpu.scheduler import StepResult  # noqa: E402
+
+ENGINE_WORKLOADS = ("dense_count", "sparse_enum", "cold_first_query")
+
+
+class StepMeter:
+    """Wraps ``WarpTask.step``; classifies each step by what the task
+    looked like going in (and, for an empty stack, coming out)."""
+
+    def __init__(self) -> None:
+        self.count: Counter[str] = Counter()
+        self.seconds: Counter[str] = Counter()
+        self.batches: Counter[int] = Counter()  # batches per parent slot -> slots
+        self._open: dict[int, tuple[object, int]] = {}  # task -> (parent array, batches so far)
+        self._step = WarpTask.step
+
+    def __enter__(self) -> "StepMeter":
+        meter = self
+
+        def step(task: WarpTask) -> StepResult:
+            kind = meter.kind_before(task)
+            t0 = time.perf_counter()
+            result = meter._step(task)
+            dt = time.perf_counter() - t0
+            if kind == "empty":
+                kind = ("retire" if result is StepResult.DONE
+                        else "acquire" if task.stack.depth else "idle-poll")
+            meter.count[kind] += 1
+            meter.seconds[kind] += dt
+            return result
+
+        WarpTask.step = step  # type: ignore[method-assign]
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        WarpTask.step = self._step  # type: ignore[method-assign]
+        for _, n in self._open.values():
+            self.batches[n] += 1
+        self._open.clear()
+
+    def kind_before(self, task: WarpTask) -> str:
+        st = task.state
+        if st.stop_flag or task.stack.depth == 0:
+            return "empty"
+        f = task.stack.top
+        if f.remaining_active() == 0:
+            return "pop"
+        if not (f.level + 1 == st.plan.size - 1 and st.on_match is None
+                and st.sanitizer is None and st.computer.supports_count_only):
+            return "frame"
+        parent = f.active_cand()
+        seen = self._open.get(id(task))
+        if seen is not None and seen[0] is parent:
+            self._open[id(task)] = (parent, seen[1] + 1)
+        else:  # a new parent slot (or the same one re-cut by a steal)
+            if seen is not None:
+                self.batches[seen[1]] += 1
+            self._open[id(task)] = (parent, 1)
+        return "leaf"
+
+
+def report(name: str, meter: StepMeter) -> None:
+    total_n, total_s = sum(meter.count.values()), sum(meter.seconds.values())
+    print(f"== {name}: {total_n} steps, {total_s:.3f} s inside WarpTask.step")
+    print(f"  {'kind':<10} {'steps':>8} {'share':>7} {'seconds':>8} {'us/step':>8}")
+    for kind, n in meter.count.most_common():
+        s = meter.seconds[kind]
+        print(f"  {kind:<10} {n:>8} {n / total_n:>7.1%} {s:>8.3f} {s / n * 1e6:>8.1f}")
+    slots = sum(meter.batches.values())
+    if slots:
+        mean = sum(k * v for k, v in meter.batches.items()) / slots
+        print(f"  leaf batches per parent slot: {slots} slots, mean {mean:.2f}")
+        edges = [(1, 1), (2, 2), (3, 4), (5, 8), (9, 16), (17, 10**9)]
+        for lo, hi in edges:
+            n = sum(v for k, v in meter.batches.items() if lo <= k <= hi)
+            label = f"{lo}" if lo == hi else f"{lo}-{hi}" if hi < 10**9 else f"{lo}+"
+            print(f"    {label:>6} batches: {n:>7} slots ({n / slots:.1%})")
+
+
+def main() -> None:
+    from workloads import WORKLOADS  # benchmarks/perf
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workloads", nargs="*", metavar="workload",
+                        help=f"any of {', '.join(ENGINE_WORKLOADS)} (default: all three)")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    if set(args.workloads) - set(ENGINE_WORKLOADS):
+        parser.error(f"workloads are {', '.join(ENGINE_WORKLOADS)}")
+    for name in args.workloads or ENGINE_WORKLOADS:
+        workload = WORKLOADS[name](args.seed, False, None)
+        workload.setup()
+        try:
+            with StepMeter() as meter:
+                workload.run_pass()
+        finally:
+            workload.close()
+        report(name, meter)
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,8 @@
 :class:`CodegenCandidateComputer` is a drop-in
 :class:`~repro.core.candidates.CandidateComputer` whose
 ``compute_frame`` runs the compiled per-level functions from
-:mod:`repro.codegen.compile` instead of walking the lowered program.
+:mod:`repro.codegen.compile` where the base class walks the lowered
+program.
 All graph-dependent state lives on the inherited
 :class:`~repro.core.levelops.LevelOps` instance the kernels receive, so
 one compiled kernel serves every data graph.
@@ -15,6 +16,7 @@ import numpy as np
 
 from repro.core.candidates import CandidateComputer
 from repro.core.config import EngineConfig
+from repro.core.levelops import Window
 from repro.core.stack import Frame, WarpStack
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
@@ -34,18 +36,7 @@ class CodegenCandidateComputer(CandidateComputer):
         super().__init__(graph, plan, config)
         self.kernel = compiled_kernel(plan, config)
 
-    def compute_frame(
-        self,
-        warp: Warp | None,
-        stack: WarpStack,
-        level: int,
-        slot_vertices: np.ndarray,
-        count_only: bool = False,
-    ) -> Frame | np.ndarray:
-        slot_arr = np.asarray(slot_vertices, dtype=np.int32)
-        if slot_arr.size == 0:
-            raise ValueError("a frame needs at least one slot")
-        result: Frame | np.ndarray = self.kernel.levels[level](
-            self.ops, warp, stack, slot_arr, count_only
-        )
+    def _walk(self, warp: Warp | None, stack: WarpStack, level: int, slot_arr: np.ndarray,
+              win: Window | None) -> Frame | np.ndarray:
+        result: Frame | np.ndarray = self.kernel.levels[level](self.ops, warp, stack, slot_arr, win)
         return result

@@ -139,21 +139,21 @@ def _step_desc(lp: LevelProgram, st: SetStep) -> str:
 
 def _emit_level(w: _Writer, lp: LevelProgram) -> None:
     level = lp.level
-    w(f"def level_{level}(ops, warp, stack, slot_arr, count_only):")
-    w("nslots = int(slot_arr.size)", 1)
+    w(f"def level_{level}(ops, warp, stack, slot_arr, win):")
     # stack.match_up_to unrolled: frames 1 .. level-1 always hold slots
     w("fr = stack.frames", 1)
     prefix = ", ".join(f"int(fr[{j}].slot_vertices[fr[{j}].uiter])" for j in range(1, level))
     w(f"m_prefix = [{prefix}]", 1)
     if lp.leaf is Leaf.GATHER_FREE:
-        w("if count_only:", 1)
-        w("return ops.leaf_gather_free(warp, stack, slot_arr, m_prefix, "
+        w("if win:", 1)
+        w("return ops.leaf_gather_free(warp, stack, win, m_prefix, "
           f"{lp.gathers[0].inbound})", 2)
     elif lp.leaf is Leaf.FLIPPED:
         t = lp.tiles[0]
-        w("if count_only:", 1)
-        w("return ops.leaf_flipped(warp, stack, slot_arr, m_prefix, "
+        w("if win:", 1)
+        w("return ops.leaf_flipped(warp, stack, win, m_prefix, "
           f"fr[{t.level}].set_instance({t.sid}), {lp.gathers[0].inbound})", 2)
+    w("nslots = int(slot_arr.size)", 1)
     for i, g in enumerate(lp.gathers):
         if g.per_slot:
             w(f"g{i} = ops.gather_slots(slot_arr, {g.inbound}, {g.keyed})", 1)
@@ -183,9 +183,9 @@ def _emit_level(w: _Writer, lp: LevelProgram) -> None:
     else:
         w(f"ca = fr[{lp.cand_level}].set_instance({lp.cand_sid})", 1)
         if lp.leaf is Leaf.TALLY:
-            w("if count_only:", 1)
-            w(f"return ops.leaf_tally(warp, stack, slot_arr, m_prefix, ca, {consts})", 2)
+            w("if win:", 1)
+            w(f"return ops.leaf_tally(warp, stack, win, m_prefix, ca, {consts})", 2)
         cand = "ops.tile(ca, nslots)"
     sets = ", ".join(f"{st.sid}: s{st.sid}" for st in lp.steps)
     w(f"return ops.finish(warp, {level}, slot_arr, m_prefix, {cand}, {consts}, "
-      f"count_only, {{{sets}}})", 1)
+      f"win is not None, {{{sets}}})", 1)

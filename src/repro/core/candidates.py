@@ -38,7 +38,7 @@ from repro.virtgpu.setops import combined_set_op
 from repro.virtgpu.warp import Warp
 
 from .config import EngineConfig
-from .levelops import LevelOps
+from .levelops import LevelOps, Window
 from .lowering import Leaf, LevelProgram, Src, lower
 from .stack import Frame, WarpStack
 
@@ -216,7 +216,7 @@ class CandidateComputer:
         stack: WarpStack,
         level: int,
         slot_vertices: np.ndarray,
-        count_only: bool = False,
+        count_only: bool | Window = False,
     ) -> Frame | np.ndarray:
         """Build the frame entered at ``level`` for a batch of slots.
 
@@ -224,17 +224,28 @@ class CandidateComputer:
         being matched (one per unrolled slot); ``stack`` holds frames
         ``0 .. level-1`` (the new frame is not pushed yet).
 
-        With ``count_only=True`` (the last-level counting case, Fig. 3
+        With ``count_only`` (the last-level counting case, Fig. 3
         line 16) the per-slot *filtered candidate counts* are returned
-        as an ``int64`` array instead of a :class:`Frame`; the fast path
-        then skips materializing the last-level candidate arrays
-        entirely.  Cycle charges are identical either way.
+        as a read-only ``int64`` array instead of a :class:`Frame`; the
+        fast path then skips materializing the last-level candidate
+        arrays entirely.  Cycle charges are identical either way.  The
+        kernel passes the :data:`~repro.core.levelops.Window`
+        ``(cand, lo, hi)`` the batch was cut from
+        (``slot_vertices == cand[lo:hi]``) instead of ``True``, so a
+        leaf can do its host work once per parent slot rather than once
+        per batch.
         """
         slot_arr = np.asarray(slot_vertices, dtype=np.int32)
         if slot_arr.size == 0:
             raise ValueError("a frame needs at least one slot")
         if self.fastpath:
-            return self._walk(warp, stack, level, slot_arr, count_only)
+            if not count_only:
+                win = None
+            elif isinstance(count_only, tuple):
+                win = count_only
+            else:  # the batch is its own parent slot
+                win = (slot_arr, 0, int(slot_arr.size))
+            return self._walk(warp, stack, level, slot_arr, win)
         frame = self._compute_frame_ref(warp, stack, level, slot_vertices)
         if count_only:
             return np.asarray([c.size for c in frame.cand], dtype=np.int64)
@@ -320,11 +331,13 @@ class CandidateComputer:
         stack: WarpStack,
         level: int,
         slot_arr: np.ndarray,
-        count_only: bool,
+        win: Window | None,
     ) -> Frame | np.ndarray:
         """Walk the level's lowered program: lowering fixed the order,
         the ops own the NumPy work and every charge.  ``repro.codegen``
-        prints this same walk unrolled, constants frozen."""
+        prints this same walk unrolled, constants frozen.  ``win`` is
+        the count-only window of ``slot_arr`` (``None``: build the
+        frame)."""
         lp = self.levels[level - 1]
         ops = self.ops
         frames = stack.frames
@@ -332,12 +345,12 @@ class CandidateComputer:
         m_prefix = stack.match_up_to(level - 1)
         pin = self.pins.get(level) if self.pins is not None else None
         # a count-only leaf stands down when the level is pinned
-        leaf = lp.leaf if count_only and pin is None else Leaf.NONE
+        leaf = lp.leaf if win is not None and pin is None else Leaf.NONE
         if leaf is Leaf.GATHER_FREE:
-            return ops.leaf_gather_free(warp, stack, slot_arr, m_prefix, lp.gathers[0].inbound)
+            return ops.leaf_gather_free(warp, stack, win, m_prefix, lp.gathers[0].inbound)
         if leaf is Leaf.FLIPPED:
             t = lp.tiles[0]
-            return ops.leaf_flipped(warp, stack, slot_arr, m_prefix,
+            return ops.leaf_flipped(warp, stack, win, m_prefix,
                                     frames[t.level].set_instance(t.sid), lp.gathers[0].inbound)
         opnds = [
             ops.gather_slots(slot_arr, g.inbound, g.keyed) if g.per_slot
@@ -368,11 +381,11 @@ class CandidateComputer:
         else:
             ca = frames[lp.cand_level].set_instance(lp.cand_sid)
             if leaf is Leaf.TALLY:
-                return ops.leaf_tally(warp, stack, slot_arr, m_prefix, ca, lp.floor_positions,
+                return ops.leaf_tally(warp, stack, win, m_prefix, ca, lp.floor_positions,
                                       lp.uses_slot, lp.label, lp.degree_need)
             cand = ops.tile(ca, nslots)
         return ops.finish(warp, level, slot_arr, m_prefix, cand, lp.floor_positions,
-                          lp.uses_slot, lp.label, lp.degree_need, count_only, sets, pin)
+                          lp.uses_slot, lp.label, lp.degree_need, win is not None, sets, pin)
 
     def _filter_candidates(
         self, raw: np.ndarray, level: int, m_prefix: list[int], slot_vertex: int

@@ -143,6 +143,9 @@ class KernelState:
     sanitizer: "StealSanitizer | None" = None
     checkpointer: Checkpointer | None = None
     tracer: object | None = None  # repro.obs.TraceCollector | None (read-only)
+    # per-launch constants of the loop body, set once by run_kernel
+    last_level: int = -1
+    count_leaves: bool = False  # last level is counted, never iterated
 
     def block_tasks(self, block_id: int) -> list["WarpTask"]:
         wpb = self.config.device.warps_per_block
@@ -413,9 +416,9 @@ class WarpTask:
                 if self.stack.depth == 0:
                     self.state.active_count -= 1
             return StepResult.RUNNING
-        cand = f.active_cand()
-        batch = cand[f.iter : f.iter + cfg.unroll]
-        f.iter += int(batch.size)
+        lo = f.iter
+        batch = f.active_cand()[lo : lo + cfg.unroll]
+        f.iter = lo + int(batch.size)
         if st.tracer is not None:
             st.tracer.on_batch(warp, f.level, int(batch.size), cfg.unroll)
         if st.sanitizer is not None and f.level == 0 and batch.size:
@@ -426,24 +429,22 @@ class WarpTask:
         # push overhead
         if cfg.global_steal and new_level <= cfg.detect_level:
             self._maybe_push_global()
-        if (
-            new_level == st.plan.size - 1
-            and st.on_match is None
-            and st.sanitizer is None
-            and st.computer.supports_count_only
-        ):
+        if new_level == st.last_level and st.count_leaves:
             # count-only leaf: the last level's candidates are never
-            # iterated, only counted, so skip materializing their arrays
+            # iterated, only counted, so skip materializing their arrays;
+            # the window names the parent slot the batch was cut from (as
+            # a push just left it), which the leaf plans once for
             if st.tracer is not None:
                 st.tracer.on_frame_begin(warp, new_level)
             counts = st.computer.compute_frame(
-                warp, self.stack, new_level, batch, count_only=True
+                warp, self.stack, new_level, batch,
+                count_only=(f.active_cand(), lo, f.iter),
             )
-            warp.counters.tree_nodes += int(batch.size)
+            per_slot = counts.tolist()
+            warp.counters.tree_nodes += len(per_slot)
             if st.tracer is not None:
-                st.tracer.on_frame(warp, new_level, int(batch.size),
-                                   [int(c) for c in counts])
-            self._count_leaf(int(counts.sum()))
+                st.tracer.on_frame(warp, new_level, len(per_slot), per_slot)
+            self._count_leaf(sum(per_slot))
             return StepResult.RUNNING
         if st.tracer is not None:
             st.tracer.on_frame_begin(warp, new_level)
@@ -454,7 +455,7 @@ class WarpTask:
                                [int(c.size) for c in frame.cand])
         if st.sanitizer is not None:
             st.sanitizer.check_frame(warp, frame, "frame entry")
-        if new_level == st.plan.size - 1:
+        if new_level == st.last_level:
             self._consume_leaf(frame)
             return StepResult.RUNNING
         self.stack.push(frame)
@@ -559,6 +560,9 @@ def run_kernel(
         on_match=on_match,
         sanitizer=sanitizer,
         tracer=tracer,
+        last_level=plan.size - 1,
+        count_leaves=(on_match is None and sanitizer is None
+                      and computer.supports_count_only),
     )
     state.tasks = [WarpTask(w, state) for w in device.warps]
     if tracer is not None:

@@ -29,9 +29,12 @@ from repro.virtgpu.warp import Warp
 from .membership import member_sorted
 from .stack import Frame, WarpStack
 
-__all__ = ["LevelOps", "Operand"]
+__all__ = ["LevelOps", "Operand", "Window"]
 
 Segmented = tuple[np.ndarray, np.ndarray]  # (values, segment ids), segment-sorted
+#: ``(cand, lo, hi)``: the slots ``cand[lo:hi]`` of one parent slot's
+#: candidate array, which the kernel consumes UNROLL at a time
+Window = tuple[np.ndarray, int, int]
 
 _SCAN_CHUNK = 1 << 16
 
@@ -49,6 +52,21 @@ class Operand(NamedTuple):
     width: int
     vertex: int
     inbound: bool
+
+
+class _LeafMemo:
+    """One stack's count-only leaf state: the plan of one parent slot
+    (``cand`` under ``prefix`` and the ``shared`` set; ``None`` until
+    planned) and ``known``, which lives as long as ``shared`` does."""
+
+    __slots__ = ("cand", "prefix", "shared", "plan", "known")
+
+    def __init__(self, shared: np.ndarray | None) -> None:
+        self.cand: np.ndarray | None = None
+        self.prefix: list[int] = []
+        self.shared = shared
+        self.plan: Any = None
+        self.known: dict[int, int] = {}
 
 
 def _split_segments(values: np.ndarray, segments: np.ndarray, nslots: int) -> list[np.ndarray]:
@@ -95,13 +113,12 @@ class LevelOps:
         # seg ids are read-only (they feed repeat/tile), so one arange
         # per distinct slot count is shared
         self._seg_ids: dict[int, np.ndarray] = {}
-        # id(stack) -> the last level's leaf memo.  A plan has one leaf
-        # kind, so one table serves whichever leaf it is; entries are
-        # validated by array identity / prefix equality on every use
-        # (a strong reference is held, so an id cannot be recycled
-        # while its entry is trusted; steal splits copy arrays and
-        # therefore invalidate naturally).
-        self._memo: dict[int, list[Any]] = {}
+        # id(stack) -> the last level's leaf plan (_leaf_memo).  A plan
+        # has one leaf kind, so one table serves whichever leaf it is;
+        # entries are validated by array identity / prefix equality on
+        # every use (a strong reference is held, so an id cannot be
+        # recycled while its entry is trusted).
+        self._memo: dict[int, _LeafMemo] = {}
         self._loops: dict[bool, np.ndarray | None] = {}
 
     # -- gathers and bases ---------------------------------------------------
@@ -200,7 +217,8 @@ class LevelOps:
             vals, segs = vals[keep], segs[keep]
         if warp is not None and vals.size > self.cap:
             # a slot can only spill when the whole batch outgrows one
-            self._charge_spill(warp, np.bincount(segs, minlength=nslots))
+            counts = np.bincount(segs, minlength=nslots)
+            self._charge_spill(warp, int(np.maximum(counts - self.cap, 0).sum()))
         return vals, segs
 
     def _labels_of(self, vals: np.ndarray) -> np.ndarray:
@@ -214,8 +232,8 @@ class LevelOps:
         out: np.ndarray = self.graph_degree[vals]
         return out
 
-    def _charge_spill(self, warp: Warp, counts: np.ndarray) -> None:
-        over = int(np.maximum(counts - self.cap, 0).sum())
+    def _charge_spill(self, warp: Warp, over: int) -> None:
+        """Host-memory penalty for ``over`` elements past their ``C`` slots."""
         if over:
             warp.charge(warp.cost.host_access * warp.cost.rounds(over))
 
@@ -280,8 +298,14 @@ class LevelOps:
     # -- count-only leaves -------------------------------------------------------
     #
     # Callers guarantee level >= 2 (a non-empty prefix) and an unpinned
-    # last level.  The slot's own vertex is never in the prefix
-    # (injectivity at level - 1 already dropped it).
+    # last level.  The slots are ``cand[lo:hi]`` of a :data:`Window`:
+    # UNROLL sizes the *charges* (a warp has 32 lanes), not the host
+    # work, so the first batch of a parent slot plans the per-candidate
+    # vectors for the whole array in one pass and every batch replays
+    # its window of them — same charges, same order, same amounts as
+    # evaluating the batch on its own.  A candidate is never in the
+    # prefix (injectivity at level - 1 already dropped it).  Returned
+    # counts are read-only views of the plan.
 
     def self_loops(self, inbound: bool) -> np.ndarray | None:
         """Boolean mask of the vertices listed in their own out- (or
@@ -302,85 +326,112 @@ class LevelOps:
             self._loops[inbound] = mask if mask.any() else None
         return self._loops[inbound]
 
-    def leaf_gather_free(self, warp: Warp | None, stack: WarpStack, slot_arr: np.ndarray,
+    def _leaf_memo(self, stack: WarpStack, cand: np.ndarray, m_prefix: list[int],
+                   shared: np.ndarray | None) -> _LeafMemo:
+        """``stack``'s memo, its plan dropped when the parent array or
+        the prefix moved (steal splits, reabsorbed tails and restored
+        checkpoints are new arrays, so they re-plan)."""
+        ent = self._memo.get(id(stack))
+        if ent is None or ent.shared is not shared:
+            ent = self._memo[id(stack)] = _LeafMemo(shared)
+        if ent.cand is not cand or ent.prefix != m_prefix:
+            ent.cand, ent.prefix, ent.plan = cand, list(m_prefix), None
+        return ent
+
+    def _running(self, sizes: np.ndarray) -> tuple[list[int], list[int] | None]:
+        """Running sums (Python ints, leading 0) of per-candidate set
+        sizes and of what each spills past one ``C`` slot (``None``:
+        none does), so a window's totals are two subtractions."""
+        over = None
+        if int(sizes.max()) > self.cap:
+            over = [0] + np.cumsum(np.maximum(sizes - self.cap, 0)).tolist()
+        return [0] + np.cumsum(sizes).tolist(), over
+
+    def _charge_sealed(self, warp: Warp, sums: tuple[list[int], list[int] | None],
+                       lo: int, hi: int) -> None:
+        """Spill, then filter(total), of the window's candidate sets."""
+        run, over = sums
+        if over is not None:
+            self._charge_spill(warp, over[hi] - over[lo])
+        total = run[hi] - run[lo]
+        if total:
+            warp.charge_filter(total)
+
+    def _drop_used(self, counts: np.ndarray, cand: np.ndarray, used: list[int],
+                   inbound: bool) -> None:
+        """Uncount each used vertex where it is adjacent to the
+        candidate (w ∈ N(v) ⟺ v ∈ N_reverse(w))."""
+        rev = self._graph(not inbound)
+        for w in used:
+            counts -= member_sorted(rev.neighbors(w), cand)
+
+    def leaf_gather_free(self, warp: Warp | None, stack: WarpStack, win: Window,
                          m_prefix: list[int], inbound: bool) -> np.ndarray:
         """Candidates are the slots' own neighbor lists, unfiltered
         apart from injectivity: the counts are row lengths minus the
         used vertices present in each row, and no value is gathered.
         Charges: copy(T), spill, filter(T) with the gathered path's T.
         """
-        g = self._graph(inbound)
-        counts: np.ndarray = np.asarray(g.degree())[slot_arr]
+        cand, lo, hi = win
+        ent = self._leaf_memo(stack, cand, m_prefix, None)
+        if ent.plan is None:
+            lens: np.ndarray = np.asarray(self._graph(inbound).degree())[cand]
+            counts = lens.copy()
+            loops = self.self_loops(inbound)
+            if loops is not None:
+                counts -= loops[cand]
+            self._drop_used(counts, cand, m_prefix, inbound)
+            ent.plan = (counts, self._running(lens))
+        counts, sums = ent.plan
         if warp is not None:
-            total = int(counts.sum())
-            warp.charge_copy(total)
-            if total > self.cap:
-                self._charge_spill(warp, counts)
-            if total:
-                warp.charge_filter(total)
-        loops = self.self_loops(inbound)
-        if loops is not None:
-            counts -= loops[slot_arr]
-        # #(prefix ∩ N(v)) per vertex v, rebuilt when the prefix moves —
-        # far rarer than a leaf batch: one scatter-add per prefix member
-        # over the reverse adjacency (x = w ∈ N(v) ⟺ v ∈ N_reverse(w);
-        # rows hold unique entries, so += 1 tallies exactly)
-        ent = self._memo.get(id(stack))
-        if ent is None or ent[0] != m_prefix:
-            excl = np.zeros(self.n, dtype=np.int64)
-            for w in m_prefix:
-                excl[self._graph(not inbound).neighbors(w)] += 1
-            ent = self._memo[id(stack)] = [list(m_prefix), excl]
-        counts -= ent[1][slot_arr]
-        return counts
+            warp.charge_copy(sums[0][hi] - sums[0][lo])
+            self._charge_sealed(warp, sums, lo, hi)
+        out: np.ndarray = counts[lo:hi]
+        return out
 
-    def leaf_flipped(self, warp: Warp | None, stack: WarpStack, slot_arr: np.ndarray,
+    def leaf_flipped(self, warp: Warp | None, stack: WarpStack, win: Window,
                      m_prefix: list[int], ref: np.ndarray, inbound: bool) -> np.ndarray:
         """Candidates are ``ref ∩ N(slot)`` for a shared earlier set
         ``ref``: probe each slot's neighbors against ``ref`` (once per
         vertex while ``ref`` lives) instead of tiling ``ref`` per slot.
         Charges: set_op(|ref| · nslots), spill, filter(kept), as tiled.
         """
-        nslots = int(slot_arr.size)
-        g = self._graph(inbound)
+        cand, lo, hi = win
+        ent = self._leaf_memo(stack, cand, m_prefix, ref)
+        if ent.plan is None:
+            g = self._graph(inbound)
+            known = ent.known  # vertex -> |ref ∩ N(vertex)|
+            kept = np.array([known.get(v, -1) for v in cand.tolist()], dtype=np.int64)
+            miss = kept < 0
+            if miss.any():
+                mv = cand[miss]
+                nb_v, nb_o = g.neighbors_batch(mv)
+                cs = np.zeros(nb_v.size + 1, dtype=np.int64)
+                np.cumsum(member_sorted(ref, nb_v), out=cs[1:])
+                got = cs[nb_o[1:]] - cs[nb_o[:-1]]
+                kept[miss] = got
+                known.update(zip(mv.tolist(), got.tolist()))
+            counts = kept.copy()
+            loops = self.self_loops(inbound)
+            if loops is not None:
+                counts -= member_sorted(ref, cand) & loops[cand]
+            hits = member_sorted(ref, np.asarray(m_prefix, dtype=ref.dtype)).tolist()
+            self._drop_used(counts, cand, [w for w, hit in zip(m_prefix, hits) if hit], inbound)
+            ent.plan = (counts, np.asarray(g.degree())[cand].tolist(), self._running(kept))
+        counts, widths, sums = ent.plan
         if warp is not None:
+            nslots = hi - lo
             total = int(ref.size) * nslots
-            width = int(np.asarray(g.degree())[slot_arr].max())
-            _charge_set_op(warp, nslots if total else 0, total, width)
-        # [ref, |ref ∩ N(v)| per vertex (-1 = unknown), prefix, prefix members in ref]
-        ent = self._memo.get(id(stack))
-        if ent is None or ent[0] is not ref:
-            ent = self._memo[id(stack)] = [ref, np.full(self.n, -1, dtype=np.int64), None, []]
-        counts: np.ndarray = ent[1][slot_arr]
-        miss = counts < 0
-        if miss.any():
-            mv = slot_arr[miss]
-            nb_v, nb_o = g.neighbors_batch(mv)
-            cs = np.zeros(nb_v.size + 1, dtype=np.int64)
-            np.cumsum(member_sorted(ref, nb_v), out=cs[1:])
-            counts[miss] = ent[1][mv] = cs[nb_o[1:]] - cs[nb_o[:-1]]
-        if warp is not None:
-            kept = int(counts.sum())
-            if kept > self.cap:
-                self._charge_spill(warp, counts)
-            if kept:
-                warp.charge_filter(kept)
-        loops = self.self_loops(inbound)
-        if loops is not None:
-            counts -= member_sorted(ref, slot_arr) & loops[slot_arr]
-        if ent[2] != m_prefix:
-            hits = member_sorted(ref, np.asarray(m_prefix, dtype=ref.dtype))
-            ent[2] = list(m_prefix)
-            ent[3] = [w for w, hit in zip(m_prefix, hits.tolist()) if hit]
-        for w in ent[3]:  # used vertices in ref: drop them where adjacent to the slot
-            counts -= member_sorted(self._graph(not inbound).neighbors(w), slot_arr)
-        return counts
+            _charge_set_op(warp, nslots if total else 0, total, max(widths[lo:hi]))
+            self._charge_sealed(warp, sums, lo, hi)
+        out: np.ndarray = counts[lo:hi]
+        return out
 
     def leaf_tally(
         self,
         warp: Warp | None,
         stack: WarpStack,
-        slot_arr: np.ndarray,
+        win: Window,
         m_prefix: list[int],
         ca: np.ndarray,
         floor_positions: tuple[int, ...],
@@ -391,26 +442,40 @@ class LevelOps:
         """Candidates are one shared earlier set ``ca``: every slot
         would tile, mask and count the same sorted array, so the tally
         is closed-form.  Charge: filter(nslots · |ca|), as tiled.
-
-        Unlabeled with no degree need, the membership test is inverted
-        (the few used vertices are searched in ``ca``), so no O(|ca|)
-        array is built; otherwise one mask over ``ca`` and sorted cuts.
         """
-        nslots = int(slot_arr.size)
+        cand, lo, hi = win
         m = int(ca.size)
         if m == 0:
-            return np.zeros(nslots, dtype=np.int64)
+            return np.zeros(hi - lo, dtype=np.int64)
         if warp is not None:
-            warp.charge_filter(m * nslots)
-        floor = _floor(m_prefix, floor_positions)
+            warp.charge_filter(m * (hi - lo))
+        ent = self._leaf_memo(stack, cand, m_prefix, ca)
+        if ent.plan is None:
+            ent.plan = self._tally(cand, m_prefix, ca, _floor(m_prefix, floor_positions),
+                                   uses_slot, label, need)
+        out: np.ndarray = ent.plan[lo:hi]
+        return out
+
+    def _tally(self, slot_arr: np.ndarray, m_prefix: list[int], ca: np.ndarray, floor: int,
+               uses_slot: bool, label: int | None, need: int) -> np.ndarray:
+        """Per slot, the members of sorted ``ca`` that pass the fused
+        filter.  Unlabeled with no degree need, the membership test is
+        inverted (the few used vertices are searched in ``ca``), so no
+        O(|ca|) array is built; otherwise one mask over ``ca`` and
+        sorted cuts."""
+        m = int(ca.size)
+        used = np.asarray(m_prefix, dtype=ca.dtype)
         keep = None
         if label is not None or need > 1:
-            keep = member_sorted(np.sort(np.asarray(m_prefix, dtype=ca.dtype)), ca)
+            keep = member_sorted(np.sort(used), ca)
             np.logical_not(keep, out=keep)
             if label is not None:
                 keep &= self._labels_of(ca) == label
             if need > 1:
                 keep &= self._degrees_of(ca) >= need
+        else:
+            hit = used[member_sorted(ca, used)]
+        counts: np.ndarray
         if uses_slot:
             # the floor is at least the slot's own vertex, so x > floor
             # already excludes x == slot
@@ -419,27 +484,18 @@ class LevelOps:
             if keep is not None:
                 below = np.zeros(m + 1, dtype=np.int64)
                 np.cumsum(keep, out=below[1:])
-                counts: np.ndarray = below[m] - below[fpos]
-                return counts
-            used = np.asarray(m_prefix, dtype=ca.dtype)
-            hit = used[member_sorted(ca, used)]
-            counts = (m - fpos).astype(np.int64)
-            counts -= (hit[None, :] > floors[:, None]).sum(axis=1)
+                counts = below[m] - below[fpos]
+            else:
+                counts = (m - fpos).astype(np.int64)
+                counts -= (hit[None, :] > floors[:, None]).sum(axis=1)
             return counts
-        # one floor for every slot: a scalar base count (memoized per
-        # (ca, prefix), which outlive many batches, when it depends on
-        # nothing else), minus the slot's own vertex where it survives
+        # one floor for every slot: a scalar base count, minus the
+        # slot's own vertex where it survives
+        cut = int(ca.searchsorted(floor, side="right"))
         if keep is not None:
-            base = int(np.count_nonzero(keep[int(ca.searchsorted(floor, side="right")):]))
+            base = int(np.count_nonzero(keep[cut:]))
         else:
-            ent = self._memo.get(id(stack))
-            if ent is None or ent[0] is not ca or ent[1] != m_prefix:
-                used = np.asarray(m_prefix, dtype=ca.dtype)
-                hit = used[member_sorted(ca, used)]
-                base = (m - int(ca.searchsorted(floor, side="right"))
-                        - int(np.count_nonzero(hit > floor)))
-                ent = self._memo[id(stack)] = [ca, list(m_prefix), base]
-            base = ent[2]
+            base = m - cut - int(np.count_nonzero(hit > floor))
         spos = ca.searchsorted(slot_arr)
         np.minimum(spos, m - 1, out=spos)
         own = ca[spos] == slot_arr

@@ -9,27 +9,25 @@ of "B at time ≥ now".  This is the standard conservative discrete-event
 approximation; DESIGN.md lists it as a known modeling choice.
 
 Steps return a :class:`StepResult` telling the scheduler whether the
-warp is still runnable, finished, or blocked (idle-spinning on the
-global-steal bitmap) — blocked warps leave the run queue until another
-warp wakes them.
+warp is still runnable or finished.  Idle warps are never parked: they
+spin (each poll is a charged step), exactly like hardware spin-waits.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Callable, Generic, TypeVar
 
 __all__ = ["StepResult", "EventScheduler"]
 
-T = TypeVar("T", bound=Hashable)
+T = TypeVar("T")
 
 
 class StepResult(enum.Enum):
     """Outcome of advancing one entity by one step."""
 
     RUNNING = "running"   # keep scheduling
-    BLOCKED = "blocked"   # waiting for an external wake (global steal)
     DONE = "done"         # entity finished for good
 
 
@@ -66,9 +64,8 @@ class EventScheduler(Generic[T]):
         self._tiebreak = tiebreak
         self._heap: list[tuple[float, float, int, T]] = []
         self._seq = 0
-        self._blocked: set[T] = set()
-        self._done: set[T] = set()
-        self._all = list(entities)
+        self._done = 0
+        self._total = len(entities)
         for e in entities:
             self._push(e)
 
@@ -77,31 +74,16 @@ class EventScheduler(Generic[T]):
         heapq.heappush(self._heap, (self._clock_of(e), key, self._seq, e))
         self._seq += 1
 
-    def wake(self, e: T, at_clock: float | None = None) -> None:
-        """Move a blocked entity back into the run queue."""
-        if e in self._done:
-            raise ValueError("cannot wake a finished entity")
-        if e in self._blocked:
-            self._blocked.discard(e)
-            self._push(e)
-
     def run(self, max_steps: int | None = None) -> int:
-        """Step entities until all are done/blocked; returns step count.
-
-        A deadlock (every remaining entity blocked with no one to wake
-        it) simply ends the run — the kernel driver is responsible for
-        detecting global termination before that happens.
-        """
+        """Step entities until all are done; returns the step count."""
         steps = 0
         while self._heap:
             if max_steps is not None and steps >= max_steps:
                 break
             clock, _, _, e = heapq.heappop(self._heap)
-            if e in self._blocked or e in self._done:
-                continue  # stale heap entry
             if clock != self._clock_of(e):
-                # entity was re-clocked (e.g. woken with a later clock):
-                # reinsert at its true position
+                # entity was re-clocked while queued: reinsert at its
+                # true position
                 self._push(e)
                 continue
             if self._watchdog is not None:
@@ -115,16 +97,10 @@ class EventScheduler(Generic[T]):
             steps += 1
             if result is StepResult.RUNNING:
                 self._push(e)
-            elif result is StepResult.BLOCKED:
-                self._blocked.add(e)
             else:
-                self._done.add(e)
+                self._done += 1
         return steps
 
     @property
-    def blocked(self) -> set[T]:
-        return set(self._blocked)
-
-    @property
     def all_done(self) -> bool:
-        return len(self._done) == len(self._all)
+        return self._done == self._total

@@ -9,6 +9,7 @@ the engines advance them through a discrete-event scheduler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .costmodel import WARP_SIZE, GpuCostModel
@@ -79,31 +80,51 @@ class Warp:
         else:
             self.counters.idle_cycles += cycles
 
+    # The three charges below run at least once per kernel step, so they
+    # inline GpuCostModel.rounds / set_op_cycles / copy_cycles /
+    # filter_cycles (which stay the definition) in the same operand
+    # order; tests/test_virtgpu_device.py pins bit-equality.
+
     def charge_set_op(self, total_elems: int, operand_size: int, in_global: bool = True) -> None:
         """Charge a (combined) set operation and update lane counters."""
-        rounds = self.cost.rounds(total_elems)
-        self.counters.set_ops += 1
-        self.counters.rounds += rounds
-        self.counters.busy_lanes += total_elems
-        cycles = self.cost.set_op_cycles(total_elems, operand_size, in_global)
-        self.charge(cycles)
+        cost = self.cost
+        counters = self.counters
+        rounds = -(-total_elems // WARP_SIZE) or 1
+        counters.set_ops += 1
+        counters.rounds += rounds
+        counters.busy_lanes += total_elems
+        cycles = rounds * (
+            cost.warp_issue
+            + cost.probe_factor * max(1.0, math.log2(max(operand_size, 2)))
+            + (cost.global_access if in_global else cost.shared_access)
+        )
+        self.clock += cycles
+        counters.busy_cycles += cycles
         if self.tracer is not None:
             self.tracer.on_set_op(self, total_elems, operand_size, rounds, cycles)
 
     def charge_copy(self, num_elems: int, in_global: bool = True) -> None:
-        rounds = self.cost.rounds(num_elems)
-        self.counters.copies += 1
-        self.counters.rounds += rounds
-        self.counters.busy_lanes += num_elems
-        cycles = self.cost.copy_cycles(num_elems, in_global)
-        self.charge(cycles)
+        cost = self.cost
+        counters = self.counters
+        rounds = -(-num_elems // WARP_SIZE) or 1
+        counters.copies += 1
+        counters.rounds += rounds
+        counters.busy_lanes += num_elems
+        cycles = rounds * (
+            cost.warp_issue + (cost.global_access if in_global else cost.shared_access)
+        )
+        self.clock += cycles
+        counters.busy_cycles += cycles
         if self.tracer is not None:
             self.tracer.on_copy(self, num_elems, rounds, cycles)
 
     def charge_filter(self, num_elems: int) -> None:
-        self.counters.filters += 1
-        cycles = self.cost.filter_cycles(num_elems)
-        self.charge(cycles)
+        cost = self.cost
+        counters = self.counters
+        counters.filters += 1
+        cycles = (-(-num_elems // WARP_SIZE) or 1) * (cost.warp_issue + cost.shared_access)
+        self.clock += cycles
+        counters.busy_cycles += cycles
         if self.tracer is not None:
             self.tracer.on_filter(self, num_elems, cycles)
 

@@ -10,22 +10,33 @@ charges), so it gets ordinary unit tests:
 * every count-only leaf equals the generic fused-filter path — per-slot
   counts *and* the recorded charge / tracer stream — on randomly built
   stacks, on simple, self-loop, directed and overlay graphs, with warm
-  and invalidated memos; a pinned last level makes the leaf stand down.
+  and invalidated memos; a pinned last level makes the leaf stand down;
+* a leaf plans once per parent slot and replays per batch: every window
+  of a parent array equals the generic path evaluated on that batch
+  alone, across steal splits, reabsorbed tails, moved prefixes and
+  cloned frames, and over random window sequences (hypothesis).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import QueryGraph
 from repro.core.candidates import CandidateComputer
 from repro.core.config import EngineConfig
+from repro.core.kernel import run_kernel
 from repro.core.levelops import LevelOps
 from repro.core.lowering import Leaf, Src, lower
-from repro.core.stack import Frame, WarpStack
+from repro.core.stack import Frame, WarpStack, divide_and_copy, reabsorb
 from repro.dynamic import EditBatch, OverlayGraph
 from repro.graph import CSRGraph
+from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
 from repro.pattern import QUERIES, build_plan
+from repro.virtgpu.device import VirtualDevice
 from repro.virtgpu.warp import Warp
 
 ALL_QUERIES = [f"q{i}" for i in range(1, 25)]
@@ -188,36 +199,61 @@ def _cases(rng, graph, rounds=6):
         yield stack, prefix, slots, shared
 
 
+TALLY_CONSTS = ((), False, None, 0)
+
+
+def _leaf(kind, ops, warp, stack, win, prefix, shared, inbound, consts=TALLY_CONSTS):
+    """The count-only leaf ``kind`` over window ``win`` of its parent."""
+    if kind == "gather_free":
+        return ops.leaf_gather_free(warp, stack, win, prefix, inbound)
+    if kind == "flipped":
+        return ops.leaf_flipped(warp, stack, win, prefix, shared, inbound)
+    return ops.leaf_tally(warp, stack, win, prefix, shared, *consts)
+
+
+def _generic(kind, ops, warp, slots, prefix, shared, inbound, consts=TALLY_CONSTS):
+    """What the leaf stands for: the level's set steps and the fused
+    ``finish`` filter on ``slots`` alone, nothing memoized."""
+    n = slots.size
+    if kind == "gather_free":
+        g = ops.gather_slots(slots, inbound, False)
+        cand = ops.seal(warp, g.vals, g.segs, None, n, True)
+        return ops.finish(warp, 4, slots, prefix, cand, (), False, None, 0, True, {})
+    if kind == "flipped":
+        g = ops.gather_slots(slots, inbound, True)
+        vals, segs = ops.set_op(warp, *ops.tile(shared, n), g, False)
+        cand = ops.seal(warp, vals, segs, None, n)
+        return ops.finish(warp, 4, slots, prefix, cand, (), False, None, 0, True, {})
+    return ops.finish(warp, 4, slots, prefix, ops.tile(shared, n), *consts, True, {})
+
+
+def _assert_leaf_is_generic(kind, ops, stack, win, prefix, shared, inbound,
+                            consts=TALLY_CONSTS):
+    a, b = _warp(), _warp()
+    cand, lo, hi = win
+    got = _leaf(kind, ops, a, stack, win, prefix, shared, inbound, consts)
+    want = _generic(kind, ops, b, cand[lo:hi], prefix, shared, inbound, consts)
+    assert got.tolist() == want.tolist()
+    assert _stream(a) == _stream(b)
+
+
 @pytest.mark.parametrize("gname", list(GRAPHS))
 class TestLeavesEqualGenericPath:
-    def test_gather_free(self, gname):
-        rng = np.random.default_rng(1)
-        graph = GRAPHS[gname](rng)
-        for inbound in ((False, True) if graph.directed else (False,)):
-            ops = _ops(graph, need=False)
-            for stack, prefix, slots, _ in _cases(rng, graph):
-                a, b = _warp(), _warp()
-                got = ops.leaf_gather_free(a, stack, slots, prefix, inbound)
-                g = ops.gather_slots(slots, inbound, False)
-                cand = ops.seal(b, g.vals, g.segs, None, slots.size, True)
-                want = ops.finish(b, 4, slots, prefix, cand, (), False, None, 0, True, {})
-                assert got.tolist() == want.tolist()
-                assert _stream(a) == _stream(b)
-
-    def test_flipped(self, gname):
-        rng = np.random.default_rng(2)
+    @staticmethod
+    def _both_directions(gname, kind, seed):
+        rng = np.random.default_rng(seed)
         graph = GRAPHS[gname](rng)
         for inbound in ((False, True) if graph.directed else (False,)):
             ops = _ops(graph, need=False)
             for stack, prefix, slots, ref in _cases(rng, graph):
-                a, b = _warp(), _warp()
-                got = ops.leaf_flipped(a, stack, slots, prefix, ref, inbound)
-                g = ops.gather_slots(slots, inbound, True)
-                vals, segs = ops.set_op(b, *ops.tile(ref, slots.size), g, False)
-                cand = ops.seal(b, vals, segs, None, slots.size)
-                want = ops.finish(b, 4, slots, prefix, cand, (), False, None, 0, True, {})
-                assert got.tolist() == want.tolist()
-                assert _stream(a) == _stream(b)
+                _assert_leaf_is_generic(kind, ops, stack, (slots, 0, slots.size), prefix, ref,
+                                        inbound)
+
+    def test_gather_free(self, gname):
+        self._both_directions(gname, "gather_free", seed=1)
+
+    def test_flipped(self, gname):
+        self._both_directions(gname, "flipped", seed=2)
 
     @pytest.mark.parametrize("uses_slot", [False, True])
     @pytest.mark.parametrize("floor_positions", [(), (1,), (0, 2)])
@@ -232,11 +268,111 @@ class TestLeavesEqualGenericPath:
         ops = _ops(graph, need=need > 1)
         consts = (floor_positions, uses_slot, label, need)
         for stack, prefix, slots, ca in _cases(rng, graph):
-            a, b = _warp(), _warp()
-            got = ops.leaf_tally(a, stack, slots, prefix, ca, *consts)
-            want = ops.finish(b, 4, slots, prefix, ops.tile(ca, slots.size), *consts, True, {})
-            assert got.tolist() == want.tolist()
-            assert _stream(a) == _stream(b)
+            _assert_leaf_is_generic("tally", ops, stack, (slots, 0, slots.size), prefix, ca,
+                                    False, consts)
+
+
+# ---------------------------------------------------------------------------
+# plan once per parent slot, replay per batch
+# ---------------------------------------------------------------------------
+
+UNROLL = 4
+WINDOWED = [("gather_free", TALLY_CONSTS), ("flipped", TALLY_CONSTS), ("tally", TALLY_CONSTS),
+            ("tally", ((1,), True, None, 0)), ("tally", ((0, 2), False, None, 3))]
+
+
+def _parent_stack(rng, graph, size=21):
+    """A stack whose top frame iterates one parent slot of ``size``
+    candidates, entered mid-batch, plus two prefixes that avoid them
+    and a shared set."""
+    n = graph.num_vertices
+    perm = rng.permutation(n)
+    prefix, moved = perm[:3].tolist(), [int(perm[3])] + perm[1:3].tolist()
+    parent = np.sort(perm[4: 4 + size]).astype(np.int32)
+    shared = np.sort(rng.choice(n, n // 2, replace=False)).astype(np.int32)
+    stack = _fake_stack(prefix)
+    stack.top.cand = [parent]
+    stack.top.iter = 3  # windows start off the UNROLL grid
+    return stack, prefix, moved, shared
+
+
+def _next_batch(stack):
+    """What ``WarpTask._advance`` hands the leaf: the next UNROLL
+    candidates of the active slot as a window of it."""
+    f = stack.top
+    lo = f.iter
+    f.iter = min(lo + UNROLL, f.active_cand().size)
+    return (f.active_cand(), lo, f.iter)
+
+
+def _split(stack, **_):
+    """A steal halves the parent slot: the donor keeps a shorter view,
+    the thief continues on a copy of the tail."""
+    return WarpStack(frames=divide_and_copy(stack, stop_level=3).frames)
+
+
+def _lost_push(stack, **_):
+    work = divide_and_copy(stack, stop_level=3)
+    assert not work.empty
+    reabsorb(stack, work)
+
+
+def _move_prefix(stack, moved, **_):
+    stack.frames[1].slot_vertices = np.asarray(moved[:1], np.int32)
+
+
+def _restore(stack, **_):
+    stack.frames = [f.clone() for f in stack.frames]
+
+
+@pytest.mark.parametrize("gname", list(GRAPHS))
+@pytest.mark.parametrize("kind,consts", WINDOWED)
+@pytest.mark.parametrize("event", [_split, _lost_push, _move_prefix, _restore])
+def test_windows_replay_the_generic_path_across(event, kind, consts, gname):
+    rng = np.random.default_rng(6)
+    graph = GRAPHS[gname](rng)
+    for inbound in ((False, True) if graph.directed and kind != "tally" else (False,)):
+        ops = _ops(graph, need=consts[3] > 1)
+        stack, prefix, moved, shared = _parent_stack(rng, graph)
+        live = [stack]
+        for step in range(2):  # a warm plan, then the event, then the rest
+            _assert_leaf_is_generic(kind, ops, stack, _next_batch(stack), prefix, shared,
+                                    inbound, consts)
+        other = event(stack, moved=moved)
+        if other is not None:
+            live.append(other)
+        batches = 0
+        for s in live:
+            now = s.match_up_to(3)
+            assert now == (moved if event is _move_prefix else prefix)
+            while s.top.remaining_active():
+                _assert_leaf_is_generic(kind, ops, s, _next_batch(s), now, shared, inbound,
+                                        consts)
+                batches += 1
+        assert batches >= 3
+
+
+@given(seed=st.integers(0, 2**31), kind=st.sampled_from(WINDOWED), data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_window_sequences_equal_uncached_evaluation(seed, kind, data):
+    kind, consts = kind
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(rng, self_loops=bool(seed % 2), directed=bool(seed % 3 == 0))
+    inbound = graph.directed and kind != "tally" and bool(seed % 5 == 0)
+    stack, prefix, _, shared = _parent_stack(rng, graph)
+    parent = stack.top.active_cand()
+    cuts = data.draw(st.lists(st.tuples(st.integers(0, parent.size - 1), st.integers(1, 9)),
+                              min_size=1, max_size=8))
+    ops = _ops(graph, need=consts[3] > 1)
+    a, b = _warp(), _warp()
+    got, want = [], []
+    for lo, width in cuts:
+        win = (parent, lo, min(lo + width, parent.size))
+        got += _leaf(kind, ops, a, stack, win, prefix, shared, inbound, consts).tolist()
+        want += _generic(kind, _ops(graph, need=consts[3] > 1), b, parent[lo: win[2]], prefix,
+                         shared, inbound, consts).tolist()
+    assert got == want
+    assert _stream(a) == _stream(b)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +382,8 @@ class TestLeavesEqualGenericPath:
 
 def _descend(comp, rng, unroll):
     """A random live stack down to the frame above the last level, plus
-    one batch of its candidates — or ``None`` when the draw dead-ends."""
+    one batch of its candidates and the window it was cut from — or
+    ``None`` when the draw dead-ends."""
     stack = WarpStack()
     stack.push(comp.root_frame(comp.root_candidates))
     for level in range(1, comp.plan.size):
@@ -255,10 +392,11 @@ def _descend(comp, rng, unroll):
         if not live:
             return None
         top.uiter = int(rng.choice(live))
-        top.iter = int(rng.integers(0, top.cand[top.uiter].size))
-        batch = top.cand[top.uiter][top.iter: top.iter + unroll]
+        lo = int(rng.integers(0, top.cand[top.uiter].size))
+        batch = top.cand[top.uiter][lo: lo + unroll]
+        top.iter = lo + batch.size
         if level == comp.plan.size - 1:
-            return stack, batch
+            return stack, batch, (top.cand[top.uiter], lo, top.iter)
         stack.push(comp.compute_frame(None, stack, level, batch))
     return None
 
@@ -284,14 +422,15 @@ def test_walk_leaf_equals_frame_path_and_reference(gname):
             drawn = _descend(fast, rng, unroll=4)
             if drawn is None:
                 continue
-            stack, batch = drawn
-            a, b, c = _warp(), _warp(), _warp()
+            stack, batch, win = drawn
+            a, b, c, w = _warp(), _warp(), _warp(), _warp()
             counts = fast.compute_frame(a, stack, last, batch, count_only=True)
+            windowed = fast.compute_frame(w, stack, last, batch, count_only=win)
             frame = fast.compute_frame(b, stack, last, batch)
             oracle = ref.compute_frame(c, stack, last, batch)
-            assert counts.tolist() == [x.size for x in frame.cand] == \
+            assert counts.tolist() == windowed.tolist() == [x.size for x in frame.cand] == \
                 [x.size for x in oracle.cand]
-            assert _stream(a) == _stream(b) == _stream(c)
+            assert _stream(a) == _stream(w) == _stream(b) == _stream(c)
             # a pinned last level: the leaf must stand down
             pin = int(frame.cand[0][0]) if frame.cand[0].size else int(batch[0])
             pinned = CandidateComputer(graph, plan, EngineConfig(max_degree=8), pins={last: pin})
@@ -305,3 +444,57 @@ def test_walk_leaf_equals_frame_path_and_reference(gname):
             assert _stream(d) == _stream(e)
     if not graph.directed:
         assert seen == set(Leaf)
+
+
+# ---------------------------------------------------------------------------
+# scale: a leaf step's memory follows the parent slot, not the graph
+# ---------------------------------------------------------------------------
+
+
+class _LeafAllocProbe:
+    """Delegating computer that records the largest amount of memory
+    any single count-only ``compute_frame`` call had live at once."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.leaf_steps = 0
+        self.peak = 0
+
+    def compute_frame(self, warp, stack, level, slot_vertices, count_only=False):
+        if not count_only:
+            return self._inner.compute_frame(warp, stack, level, slot_vertices)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        counts = self._inner.compute_frame(warp, stack, level, slot_vertices, count_only)
+        self.peak = max(self.peak, tracemalloc.get_traced_memory()[1] - before)
+        self.leaf_steps += 1
+        return counts
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("qname", ["q5", "q7"])  # the flipped and the gather-free leaf
+def test_no_leaf_step_allocates_per_vertex_scratch(qname):
+    pad = 500_000
+    small = powerlaw_cluster(48, m=6, p_triangle=0.5, seed=3)
+    graph = CSRGraph(indptr=np.concatenate([small.indptr, np.full(pad, small.indptr[-1])]),
+                     indices=small.indices)  # + `pad` isolated vertices
+    plan, cfg = build_plan(QUERIES[qname]), EngineConfig()
+    roots = (0, small.num_vertices)
+
+    def launch(computer):
+        return run_kernel(plan, cfg, computer, VirtualDevice(cfg.device), root_range=roots)
+
+    # the first launch pays the once-per-graph tables (degrees, self-loop scan)
+    want = launch(CandidateComputer(graph, plan, cfg)).matches
+    probe = _LeafAllocProbe(CandidateComputer(graph, plan, cfg))
+    tracemalloc.start()
+    try:
+        got = launch(probe).matches
+    finally:
+        tracemalloc.stop()
+    assert got == want == run_kernel(plan, cfg, CandidateComputer(small, plan, cfg),
+                                     VirtualDevice(cfg.device)).matches > 0
+    assert probe.leaf_steps > 50
+    assert probe.peak < pad  # less than one byte per vertex

@@ -103,6 +103,35 @@ class TestWarp:
         assert w.counters.busy_lanes == 40
         assert w.counters.thread_utilization == 40 / 64
 
+    def test_inlined_charges_equal_the_cost_model_bit_for_bit(self):
+        """``Warp.charge_*`` inline ``GpuCostModel``'s formulas (they run
+        per kernel step); the model's methods stay the definition.  Every
+        total x a spread of widths, every width x a spread of totals."""
+        cost = GpuCostModel()
+        w = Warp(warp_id=0, block_id=0, cost=cost)
+
+        def charged(fn, *args):
+            w.clock, before = 0.0, w.counters.rounds
+            fn(*args)
+            return w.clock, w.counters.rounds - before
+
+        totals, widths = range(4098), range(5001)
+        grid = [(t, x) for t in totals for x in (0, 1, 2, 3, 31, 32, 33, 1000, 5000)]
+        grid += [(t, x) for t in (0, 1, 32, 33, 1024, 4097) for x in widths]
+        for in_global in (True, False):
+            for t, x in grid:
+                assert charged(w.charge_set_op, t, x, in_global) == \
+                    (cost.set_op_cycles(t, x, in_global), cost.rounds(t))
+            for t in totals:
+                assert charged(w.charge_copy, t, in_global) == \
+                    (cost.copy_cycles(t, in_global), cost.rounds(t))
+        for t in totals:
+            assert charged(w.charge_filter, t) == (cost.filter_cycles(t), 0)
+        assert w.counters.busy_cycles == pytest.approx(
+            sum(cost.set_op_cycles(t, x, g) for g in (True, False) for t, x in grid)
+            + sum(cost.copy_cycles(t, g) for g in (True, False) for t in totals)
+            + sum(cost.filter_cycles(t) for t in totals))
+
 
 class TestCostModel:
     def test_rounds(self):
@@ -178,35 +207,6 @@ class TestEventScheduler:
         # b (cheap) steps twice before a's second step
         assert trace == ["a", "b", "b", "a"] or trace == ["b", "a", "b", "a"] or trace[0] in "ab"
         assert sched.all_done
-
-    def test_blocked_entities_leave_queue(self):
-        class E:
-            clock = 0.0
-
-        e = E()
-        sched = EventScheduler([e], clock_of=lambda x: x.clock, step=lambda x: StepResult.BLOCKED)
-        sched.run()
-        assert e in sched.blocked
-        assert not sched.all_done
-
-    def test_wake_reinserts(self):
-        class E:
-            def __init__(self):
-                self.clock = 0.0
-                self.calls = 0
-
-        e = E()
-
-        def step(x):
-            x.calls += 1
-            return StepResult.BLOCKED if x.calls == 1 else StepResult.DONE
-
-        sched = EventScheduler([e], clock_of=lambda x: x.clock, step=step)
-        sched.run()
-        assert e.calls == 1
-        sched.wake(e)
-        sched.run()
-        assert e.calls == 2 and sched.all_done
 
     def test_max_steps(self):
         class E:
