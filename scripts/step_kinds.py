@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Where a kernel pass spends its steps: count and host µs per step kind.
 
-    python3 scripts/step_kinds.py                       # the three engine workloads
+    python3 scripts/step_kinds.py                       # all four tables
     python3 scripts/step_kinds.py dense_count --seed 3
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/step_kinds.py   # another commit
 
-Runs one warm pass of ``benchmarks/perf``'s engine workloads with
-``WarpTask.step`` wrapped from outside (nothing under ``src/`` knows),
-and prints per workload
+Runs one warm pass of ``benchmarks/perf``'s engine workloads, and the
+anchored launches of ``serve_edits``' forward leg (its edit batches
+straight into ``count_delta``, as ``ServeEdits.layer_extras`` does),
+with ``WarpTask.step`` wrapped from outside (nothing under ``src/``
+knows), and prints per workload
 
 * the step kinds — ``leaf`` (a count-only last-level batch), ``frame``
   (any other ``compute_frame`` step), ``pop`` (slot advance / frame pop),
@@ -15,7 +17,9 @@ and prints per workload
   iteration that found nothing), ``retire``;
 * how many UNROLL batches a parent slot is cut into before its leaf
   steps are done (the histogram the count-only leaves' plan-once /
-  replay-per-batch split is sized from).
+  replay-per-batch split is sized from);
+* for ``serve_edits``, the anchored launches and the steps and
+  ``compute_frame`` steps (``leaf`` + ``frame``) each one takes.
 
 It is the source of docs/PERFORMANCE.md § "Where the time goes"; the
 timer adds ~0.3 µs per step, so read the columns against each other,
@@ -29,6 +33,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks" / "perf"))
@@ -38,7 +43,11 @@ if not any(Path(p, "repro").is_dir() for p in sys.path if p):
 from repro.core.kernel import WarpTask  # noqa: E402
 from repro.virtgpu.scheduler import StepResult  # noqa: E402
 
+if TYPE_CHECKING:
+    from workloads import ServeEdits  # benchmarks/perf
+
 ENGINE_WORKLOADS = ("dense_count", "sparse_enum", "cold_first_query")
+EDIT_WORKLOAD = "serve_edits"
 
 
 class StepMeter:
@@ -97,9 +106,14 @@ class StepMeter:
         return "leaf"
 
 
-def report(name: str, meter: StepMeter) -> None:
+def report(name: str, meter: StepMeter, launches: int = 0) -> None:
     total_n, total_s = sum(meter.count.values()), sum(meter.seconds.values())
     print(f"== {name}: {total_n} steps, {total_s:.3f} s inside WarpTask.step")
+    if launches:
+        frames = meter.count["leaf"] + meter.count["frame"]
+        print(f"  {launches} anchored launches: {total_n / launches:.1f} steps, "
+              f"{frames / launches:.1f} compute_frame steps, "
+              f"{total_s / launches * 1e6:.0f} us in steps per launch")
     print(f"  {'kind':<10} {'steps':>8} {'share':>7} {'seconds':>8} {'us/step':>8}")
     for kind, n in meter.count.most_common():
         s = meter.seconds[kind]
@@ -115,25 +129,45 @@ def report(name: str, meter: StepMeter) -> None:
             print(f"    {label:>6} batches: {n:>7} slots ({n / slots:.1%})")
 
 
+def forward_leg_deltas(workload: ServeEdits) -> int:
+    """``serve_edits``' forward batches straight into ``count_delta``;
+    returns the anchored launches made."""
+    from repro.dynamic import EditBatch, OverlayGraph, count_delta
+    from workloads import PRODUCTION
+
+    graph, launches = workload.base, 0
+    for ins, dels in workload.forward:
+        batch = EditBatch.from_lists(inserts=ins, deletes=dels)
+        for query in workload.queries.values():
+            launches += count_delta(graph, query, batch, PRODUCTION)[0].anchor_runs
+        graph = OverlayGraph.from_edits(graph, batch.normalized_against(graph)).compact()
+    return launches
+
+
 def main() -> None:
     from workloads import WORKLOADS  # benchmarks/perf
 
+    names = (*ENGINE_WORKLOADS, EDIT_WORKLOAD)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*", metavar="workload",
-                        help=f"any of {', '.join(ENGINE_WORKLOADS)} (default: all three)")
+                        help=f"any of {', '.join(names)} (default: all four)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if set(args.workloads) - set(ENGINE_WORKLOADS):
-        parser.error(f"workloads are {', '.join(ENGINE_WORKLOADS)}")
-    for name in args.workloads or ENGINE_WORKLOADS:
+    if set(args.workloads) - set(names):
+        parser.error(f"workloads are {', '.join(names)}")
+    for name in args.workloads or names:
         workload = WORKLOADS[name](args.seed, False, None)
         workload.setup()
+        launches = 0
         try:
             with StepMeter() as meter:
-                workload.run_pass()
+                if name == EDIT_WORKLOAD:
+                    launches = forward_leg_deltas(workload)
+                else:
+                    workload.run_pass()
         finally:
             workload.close()
-        report(name, meter)
+        report(name, meter, launches)
 
 
 if __name__ == "__main__":

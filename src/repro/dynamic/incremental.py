@@ -30,6 +30,18 @@ Exactness argument (the math the differential suite pins down):
   plans).  Both delta sets are closed under query automorphisms, so
   dividing by ``|Aut(query)|`` at the end yields the unique-match
   delta exactly; divisibility is asserted, not assumed.
+
+* Only one arc per ``Aut(query)``-orbit of arcs is launched.  For an
+  automorphism ``σ`` with ``σ(a) = a', σ(b) = b'``, ``m ↦ m∘σ`` is a
+  bijection from the embeddings with ``m[a'] = u, m[b'] = v`` onto
+  those with ``m[a] = u, m[b] = v``: ``σ`` permutes the query's edges
+  and preserves its labels, so ``m∘σ`` is an (injective, edge- and
+  label-respecting) embedding exactly when ``m`` is, and ``m ↦ m∘σ⁻¹``
+  inverts it.  Every arc of an orbit therefore has the same anchored
+  count on any data graph, and the representative's count times the
+  orbit size is the orbit's share of the sum above.  All arcs of an
+  orbit carry the representative's label pair, so label pruning keeps
+  or skips an orbit as a whole.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from repro.core.engine import STMatchEngine
 from repro.lru import LRUCache
 from repro.pattern.matching_order import is_connected_order
 from repro.pattern.plan import MatchingPlan, build_plan
-from repro.pattern.symmetry import num_automorphisms
+from repro.pattern.symmetry import arc_orbits, num_automorphisms
 from repro.virtgpu.device import DeviceConfig
 
 from .overlay import EditBatch, OverlayGraph, overlaid
@@ -56,8 +68,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CountDelta", "IncrementalMatcher", "count_delta"]
 
 #: anchored plans are tiny and query-shaped, not data-shaped — a small
-#: shared LRU covers every (query, anchor-arc) combination in practice
-_ANCHOR_PLAN_CACHE: LRUCache = LRUCache(1024, name="anchor-plans")
+#: shared LRU with one entry per (query, code_motion), see _anchor_plans
+_ANCHOR_PLAN_CACHE: LRUCache = LRUCache(256, name="anchor-plans")
+
+#: one arc orbit's launch: the representative's plan, the orbit size,
+#: and the representative's (label_a, label_b) — shared by the orbit
+_OrbitAnchor = tuple[MatchingPlan, int, tuple[int | None, int | None]]
 
 
 @dataclass(frozen=True)
@@ -69,8 +85,11 @@ class CountDelta:
     removed: int  #: unique matches destroyed by the batch
     num_inserts: int  #: effective inserted edges (after normalization)
     num_deletes: int  #: effective deleted edges (after normalization)
-    anchor_runs: int  #: pinned kernel launches executed
-    anchors_pruned: int  #: anchor positions skipped by label compatibility
+    #: pinned kernel launches executed: one per (changed edge, arc-orbit
+    #: representative) that survived label pruning, not one per query arc
+    anchor_runs: int
+    #: arc-orbit representatives skipped by label compatibility
+    anchors_pruned: int
     cycles: float  #: simulated device cycles across all anchored runs
     wall_s: float  #: host wall-clock spent in :func:`count_delta`
 
@@ -106,21 +125,25 @@ def _anchor_order(query: QueryGraph, a: int, b: int) -> list[int]:
     return order
 
 
-def _anchor_plan(query: QueryGraph, a: int, b: int,
-                 code_motion: bool) -> MatchingPlan:
-    key = (query, a, b, code_motion)
-    plan = _ANCHOR_PLAN_CACHE.get(key)
-    if plan is None:
-        plan = build_plan(
-            query,
-            data_graph=None,
-            vertex_induced=False,
-            symmetry_breaking=False,  # embedding counts; /|Aut| at the end
-            code_motion=code_motion,
-            order=_anchor_order(query, a, b),
-        )
-        _ANCHOR_PLAN_CACHE.put(key, plan)
-    return plan
+def _anchor_plans(query: QueryGraph,
+                  code_motion: bool) -> tuple[_OrbitAnchor, ...]:
+    """One anchored plan per ``Aut(query)``-orbit of arcs, built on the
+    orbit's smallest arc."""
+    key = (query, code_motion)
+    anchors = _ANCHOR_PLAN_CACHE.get(key)
+    if anchors is None:
+        anchors = tuple(
+            (build_plan(
+                query,
+                data_graph=None,
+                vertex_induced=False,
+                symmetry_breaking=False,  # embedding counts; /|Aut| at the end
+                code_motion=code_motion,
+                order=_anchor_order(query, a, b),
+            ), size, (query.label_of(a), query.label_of(b)))
+            for (a, b), size in arc_orbits(query))
+        _ANCHOR_PLAN_CACHE.put(key, anchors)
+    return anchors
 
 
 def _anchor_config(config: EngineConfig) -> EngineConfig:
@@ -156,21 +179,17 @@ def _embeddings_using(
     pruned = 0
     cycles = 0.0
     labeled = graph.is_labeled and query.labels is not None
-    for a, b in query.edges():
-        for qa, qb in ((a, b), (b, a)):
-            if labeled:
-                assert query.labels is not None
-                if (int(query.labels[qa]) != graph.label_of(u)
-                        or int(query.labels[qb]) != graph.label_of(v)):
-                    pruned += 1
-                    continue
-            plan = _anchor_plan(query, qa, qb, code_motion)
-            res = engine.run(plan, pins={0: int(u), 1: int(v)})
-            assert res.status == RunStatus.OK, (
-                f"anchored launch failed: {res.status}")
-            total += res.matches
-            runs += 1
-            cycles += res.cycles
+    data_labels = (graph.label_of(u), graph.label_of(v)) if labeled else None
+    for plan, orbit_size, labels in _anchor_plans(query, code_motion):
+        if labeled and labels != data_labels:
+            pruned += 1
+            continue
+        res = engine.run(plan, pins={0: int(u), 1: int(v)})
+        assert res.status == RunStatus.OK, (
+            f"anchored launch failed: {res.status}")
+        total += orbit_size * res.matches
+        runs += 1
+        cycles += res.cycles
     return total, runs, pruned, cycles
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "restrictions_for",
     "restrictions_by_level",
     "num_automorphisms",
+    "arc_orbits",
 ]
 
 
@@ -68,6 +69,35 @@ def stabilizer_chain(query: QueryGraph) -> tuple[list[tuple[int, int]], int]:
 def num_automorphisms(query: QueryGraph) -> int:
     """Size of the query's automorphism group, |Aut(Q)|."""
     return stabilizer_chain(query)[1]
+
+
+def arc_orbits(query: QueryGraph) -> list[tuple[tuple[int, int], int]]:
+    """The ``Aut(Q)``-orbits of the query's arcs, as ``(smallest arc,
+    orbit size)`` pairs in ascending arc order.
+
+    An arc is an ordered pair ``(a, b)`` with ``adj[a, b]`` set, so an
+    undirected edge contributes both orientations and the sizes sum to
+    ``2|E|``.  Two arcs share an orbit exactly when *one* automorphism
+    maps ``a → a'`` and ``b → b'``.  With the query relabeled so the
+    representative sits at positions ``(0, 1)``, that is a find-first
+    search for an isomorphism back onto the query with prefix
+    ``(a', b')`` — at most ``2|E|`` searches per orbit, and as in
+    :func:`stabilizer_chain` the group is never listed.
+    """
+    iu, iv = np.nonzero(query.adj)
+    arcs = list(zip(iu.tolist(), iv.tolist()))  # row-major: ascending
+    orbits: list[tuple[tuple[int, int], int]] = []
+    placed: set[tuple[int, int]] = set()
+    for rep in arcs:
+        if rep in placed:
+            continue
+        rest = [w for w in range(query.size) if w not in rep]
+        search = IsomorphismSearch(query.relabeled([*rep, *rest]), query)
+        orbit = [arc for arc in arcs if arc not in placed
+                 and next(search.maps(arc), None) is not None]
+        placed.update(orbit)
+        orbits.append((rep, len(orbit)))
+    return orbits
 
 
 def restrictions_for(query: QueryGraph) -> list[tuple[int, int]]:

@@ -123,7 +123,9 @@ class EditReport:
     num_deletes: int  #: effective deletes (after normalization)
     entries_patched: int  #: cache entries carried forward (count + delta)
     entries_invalidated: int  #: old-version entries dropped instead
-    anchor_runs: int  #: pinned kernel launches spent on the deltas
+    #: pinned kernel launches spent on the deltas: per patched entry, one
+    #: per (effective edge, arc-orbit representative of its query)
+    anchor_runs: int
     wall_s: float
 
 

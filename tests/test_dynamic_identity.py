@@ -70,6 +70,28 @@ class TestRandomizedSequences:
                 f"incremental={matcher.count} recount={recount} "
                 f"vf2={golden} (delta {delta})")
 
+    @pytest.mark.parametrize("seed", SEQUENCE_SEEDS)
+    @pytest.mark.parametrize("labeled", [False, True],
+                             ids=["unlabeled", "labeled"])
+    @pytest.mark.parametrize("qname", QUERY_NAMES)
+    def test_isomorphic_query_copy_gives_the_same_delta(self, qname, labeled,
+                                                        seed):
+        # metamorphic: renaming the query's vertices changes which arc
+        # represents each Aut(Q)-orbit, never how many orbits there are
+        # or what they count
+        before, q = _prepare(qname, labeled, seed)
+        rng = np.random.default_rng(100 * seed + int(qname[1:]))
+        copy = q.relabeled(rng.permutation(q.size).tolist())
+        for step in range(BATCHES_PER_SEQUENCE):
+            inserts, deletes = oracle.seeded_edit_batch(
+                before, seed=1000 * seed + 10 * step + int(qname[1:]))
+            batch = EditBatch.from_lists(inserts=inserts, deletes=deletes)
+            d, mutated = count_delta(before, q, batch)
+            dc, _ = count_delta(before, copy, batch)
+            assert (d.added, d.removed, d.anchor_runs, d.anchors_pruned) == \
+                (dc.added, dc.removed, dc.anchor_runs, dc.anchors_pruned)
+            before = mutated.compact()
+
 
 class TestEdgeCases:
     def test_noop_batch_is_free(self):

@@ -16,6 +16,7 @@ from repro.core.engine import STMatchEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.pattern import QUERIES
+from repro.pattern.symmetry import arc_orbits
 from repro.serve import MatchRequest, MatchService, ResultCache
 
 
@@ -73,7 +74,11 @@ class TestApplyEdits:
                                  deletes=deletes)
         assert report.new_version == report.old_version + 1
         assert report.entries_patched == 2
-        assert report.anchor_runs > 0
+        # unlabeled, so nothing is pruned: one launch per effective
+        # edge and arc orbit (q1: 8 arcs in 4 orbits, q4: 10 in 6)
+        assert report.anchor_runs == (
+            (report.num_inserts + report.num_deletes)
+            * sum(len(arc_orbits(q)) for q in (q1, q4)))
         for q in (q1, q4):
             resp = svc.match(MatchRequest(graph="g", query=q))
             assert resp.served_from == "cache"
