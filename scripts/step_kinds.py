@@ -3,6 +3,7 @@
 
     python3 scripts/step_kinds.py                       # all four tables
     python3 scripts/step_kinds.py dense_count --seed 3
+    python3 scripts/step_kinds.py --ops sparse_enum     # NumPy-step calls instead
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/step_kinds.py   # another commit
 
 Runs one warm pass of ``benchmarks/perf``'s engine workloads, and the
@@ -21,6 +22,12 @@ knows), and prints per workload
 * for ``serve_edits``, the anchored launches and the steps and
   ``compute_frame`` steps (``leaf`` + ``frame``) each one takes.
 
+With ``--ops`` it instead wraps every public ``LevelOps`` method and
+``CSRGraph.neighbors_batch`` the same way and prints calls and host µs
+per call for each — inclusive: ``gather_slots`` and ``leaf_flipped``
+contain the ``neighbors_batch`` calls they make.  That is the table a
+step's fixed cost is read from (a frame step is a handful of these).
+
 It is the source of docs/PERFORMANCE.md § "Where the time goes"; the
 timer adds ~0.3 µs per step, so read the columns against each other,
 not against ``run.py``'s ``run_s``.
@@ -33,7 +40,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks" / "perf"))
@@ -41,6 +48,8 @@ if not any(Path(p, "repro").is_dir() for p in sys.path if p):
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.kernel import WarpTask  # noqa: E402
+from repro.core.levelops import LevelOps  # noqa: E402
+from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.virtgpu.scheduler import StepResult  # noqa: E402
 
 if TYPE_CHECKING:
@@ -106,6 +115,48 @@ class StepMeter:
         return "leaf"
 
 
+class CallMeter:
+    """Wraps every public ``LevelOps`` method and
+    ``CSRGraph.neighbors_batch``; counts calls and inclusive seconds."""
+
+    def __init__(self) -> None:
+        self.count: Counter[str] = Counter()
+        self.seconds: Counter[str] = Counter()
+        self._saved = [(LevelOps, name, fn) for name, fn in vars(LevelOps).items()
+                       if callable(fn) and not name.startswith("_")]
+        self._saved.append((CSRGraph, "neighbors_batch", CSRGraph.neighbors_batch))
+
+    def __enter__(self) -> "CallMeter":
+        for owner, name, fn in self._saved:
+            setattr(owner, name, self._timed(name, fn))
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        for owner, name, fn in self._saved:
+            setattr(owner, name, fn)
+
+    def _timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        count, seconds = self.count, self.seconds
+
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[name] += time.perf_counter() - t0
+                count[name] += 1
+
+        return timed
+
+
+def report_ops(name: str, meter: CallMeter) -> None:
+    print(f"== {name}: NumPy-step calls (inclusive host time)")
+    print(f"  {'call':<18} {'calls':>8} {'seconds':>8} {'us/call':>8}")
+    for call, n in meter.count.most_common():
+        s = meter.seconds[call]
+        print(f"  {call:<18} {n:>8} {s:>8.3f} {s / n * 1e6:>8.1f}")
+
+
 def report(name: str, meter: StepMeter, launches: int = 0) -> None:
     total_n, total_s = sum(meter.count.values()), sum(meter.seconds.values())
     print(f"== {name}: {total_n} steps, {total_s:.3f} s inside WarpTask.step")
@@ -152,6 +203,8 @@ def main() -> None:
     parser.add_argument("workloads", nargs="*", metavar="workload",
                         help=f"any of {', '.join(names)} (default: all four)")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ops", action="store_true",
+                        help="calls and us per call of each LevelOps step instead")
     args = parser.parse_args()
     if set(args.workloads) - set(names):
         parser.error(f"workloads are {', '.join(names)}")
@@ -159,15 +212,19 @@ def main() -> None:
         workload = WORKLOADS[name](args.seed, False, None)
         workload.setup()
         launches = 0
+        meter = CallMeter() if args.ops else StepMeter()
         try:
-            with StepMeter() as meter:
+            with meter:
                 if name == EDIT_WORKLOAD:
                     launches = forward_leg_deltas(workload)
                 else:
                     workload.run_pass()
         finally:
             workload.close()
-        report(name, meter, launches)
+        if isinstance(meter, CallMeter):
+            report_ops(name, meter)
+        else:
+            report(name, meter, launches)
 
 
 if __name__ == "__main__":

@@ -69,14 +69,6 @@ class _LeafMemo:
         self.known: dict[int, int] = {}
 
 
-def _split_segments(values: np.ndarray, segments: np.ndarray, nslots: int) -> list[np.ndarray]:
-    """Per-slot views of a segment-sorted ``(values, segments)`` pair."""
-    if nslots == 1:
-        return [values]
-    bounds = segments.searchsorted(np.arange(1, nslots)).tolist()
-    return [values[lo:hi] for lo, hi in zip([0] + bounds, bounds + [values.size])]
-
-
 def _floor(m_prefix: list[int], positions: tuple[int, ...]) -> int:
     """Symmetry floor from the restricted prefix positions (-1: none)."""
     return max([m_prefix[i] for i in positions]) if positions else -1
@@ -112,7 +104,7 @@ class LevelOps:
         self.bitmap_in = bitmap_in
         # seg ids are read-only (they feed repeat/tile), so one arange
         # per distinct slot count is shared
-        self._seg_ids: dict[int, np.ndarray] = {}
+        self._seg_cache: dict[int, np.ndarray] = {}
         # id(stack) -> the last level's leaf plan (_leaf_memo).  A plan
         # has one leaf kind, so one table serves whichever leaf it is;
         # entries are validated by array identity / prefix equality on
@@ -127,22 +119,29 @@ class LevelOps:
         """The graph whose rows are the out- (or in-) neighbor lists."""
         return self.graph.reversed_view() if inbound else self.graph
 
-    def seg_ids(self, nslots: int) -> np.ndarray:
-        got = self._seg_ids.get(nslots)
+    def _seg_ids(self, nslots: int) -> np.ndarray:
+        got = self._seg_cache.get(nslots)
         if got is None:
-            got = self._seg_ids[nslots] = np.arange(nslots, dtype=np.int64)
+            got = self._seg_cache[nslots] = np.arange(nslots, dtype=np.int64)
         return got
+
+    def _split(self, values: np.ndarray, segments: np.ndarray, nslots: int) -> list[np.ndarray]:
+        """Per-slot views of a segment-sorted ``(values, segments)`` pair."""
+        if nslots == 1:
+            return [values]
+        bounds = segments.searchsorted(self._seg_ids(nslots)).tolist()
+        bounds.append(values.size)
+        return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def gather_slots(self, slot_arr: np.ndarray, inbound: bool, keyed: bool) -> Operand:
         """The slots' own neighbor lists: one batched gather."""
         g = self._graph(inbound)
         vals, offs = g.neighbors_batch(slot_arr)
         lens = offs[1:] - offs[:-1]
-        segs = np.repeat(self.seg_ids(slot_arr.size), lens)
+        segs = self._seg_ids(slot_arr.size).repeat(lens)
         if not keyed:
             return Operand(vals, offs, segs, None, 0, -1, inbound)
-        keys = segs * self.n + vals.astype(np.int64)
-        return Operand(vals, offs, segs, keys, int(lens.max()), -1, inbound)
+        return Operand(vals, offs, segs, vals + segs * self.n, max(lens.tolist()), -1, inbound)
 
     def gather_prefix(self, vertex: int, inbound: bool) -> Operand:
         """One already-matched vertex's list, shared by every slot."""
@@ -151,7 +150,7 @@ class LevelOps:
 
     def tile(self, arr: np.ndarray, nslots: int) -> Segmented:
         """``arr`` once per slot."""
-        return np.tile(arr, nslots), np.repeat(self.seg_ids(nslots), arr.size)
+        return np.concatenate((arr,) * nslots), self._seg_ids(nslots).repeat(arr.size)
 
     # -- set steps -----------------------------------------------------------
 
@@ -174,7 +173,7 @@ class LevelOps:
         if not any(v in bm for v in slots):
             return None
         found = np.empty(vals.size, dtype=bool)
-        bounds = segs.searchsorted(np.arange(len(slots) + 1)).tolist()
+        bounds = segs.searchsorted(self._seg_ids(len(slots) + 1)).tolist()
         offs = opnd.offs.tolist()
         for u, v in enumerate(slots):
             sl = slice(bounds[u], bounds[u + 1])
@@ -189,17 +188,19 @@ class LevelOps:
                difference: bool, found: np.ndarray | None = None) -> Segmented:
         """Intersect each slot's values with (or subtract) its operand:
         one sorted search for the whole batch (Fig. 8), keyed by
-        ``segment * n + value`` when the operand differs per slot.  The
+        ``value + segment * n`` when the operand differs per slot.  The
         charge is always the binary-search cost model's, whatever
         computed ``found``."""
+        total = vals.size
+        if warp is not None:
+            _charge_set_op(warp, int(segs[-1]) + 1 if total else 0, total, opnd.width)
+        if not total:
+            return vals, segs
         if found is None:
             if opnd.keys is None:
                 found = member_sorted(opnd.vals, vals)
             else:
-                found = member_sorted(opnd.keys, segs * self.n + vals.astype(np.int64))
-        if warp is not None:
-            total = int(vals.size)
-            _charge_set_op(warp, int(segs[-1]) + 1 if total else 0, total, opnd.width)
+                found = member_sorted(opnd.keys, vals + segs * self.n)
         if difference:
             np.logical_not(found, out=found)
         return vals[found], segs[found]
@@ -264,17 +265,20 @@ class LevelOps:
         ``charge_filter`` over the unfiltered size).
         """
         cvals, csegs = cand
-        nslots = int(slot_arr.size)
-        total = int(cvals.size)
+        nslots = slot_arr.size
+        total = cvals.size
         if total:
             slot_of = slot_arr[csegs]
-            keep = cvals == slot_of
-            if m_prefix:
-                keep |= member_sorted(np.sort(np.asarray(m_prefix, dtype=cvals.dtype)), cvals)
-            np.logical_not(keep, out=keep)
-            if uses_slot or floor_positions:
-                floor = _floor(m_prefix, floor_positions)
-                keep &= cvals > (np.maximum(slot_of, floor) if uses_slot else floor)
+            floor = _floor(m_prefix, floor_positions)
+            if uses_slot:  # x > slot already excludes x == slot
+                keep = cvals > (np.maximum(slot_of, floor) if floor >= 0 else slot_of)
+            else:
+                keep = cvals != slot_of
+                if floor >= 0:
+                    keep &= cvals > floor
+            for w in m_prefix:  # injectivity; x > floor already excludes w <= floor
+                if w > floor:
+                    keep &= cvals != w
             if label is not None:
                 keep &= self._labels_of(cvals) == label
             if need > 1:
@@ -291,8 +295,8 @@ class LevelOps:
         return Frame(
             level=level,
             slot_vertices=slot_arr,
-            cand=_split_segments(cvals, csegs, nslots),
-            sets={sid: _split_segments(v, s, nslots) for sid, (v, s) in sets.items()},
+            cand=self._split(cvals, csegs, nslots),
+            sets={sid: self._split(v, s, nslots) for sid, (v, s) in sets.items()},
         )
 
     # -- count-only leaves -------------------------------------------------------
@@ -320,7 +324,7 @@ class LevelOps:
                 for lo in range(0, self.n, _SCAN_CHUNK):
                     vs = np.arange(lo, min(lo + _SCAN_CHUNK, self.n), dtype=np.int64)
                     vals, offs = g.neighbors_batch(vs)
-                    rows = np.repeat(vs, offs[1:] - offs[:-1])
+                    rows = vs.repeat(offs[1:] - offs[:-1])
                     mask[rows[vals == rows]] = True
                 object.__setattr__(g, "_selfloop_mask", mask)
             self._loops[inbound] = mask if mask.any() else None
@@ -344,8 +348,8 @@ class LevelOps:
         none does), so a window's totals are two subtractions."""
         over = None
         if int(sizes.max()) > self.cap:
-            over = [0] + np.cumsum(np.maximum(sizes - self.cap, 0)).tolist()
-        return [0] + np.cumsum(sizes).tolist(), over
+            over = [0] + np.maximum(sizes - self.cap, 0).cumsum().tolist()
+        return [0] + sizes.cumsum().tolist(), over
 
     def _charge_sealed(self, warp: Warp, sums: tuple[list[int], list[int] | None],
                        lo: int, hi: int) -> None:
@@ -407,7 +411,7 @@ class LevelOps:
                 mv = cand[miss]
                 nb_v, nb_o = g.neighbors_batch(mv)
                 cs = np.zeros(nb_v.size + 1, dtype=np.int64)
-                np.cumsum(member_sorted(ref, nb_v), out=cs[1:])
+                member_sorted(ref, nb_v).cumsum(out=cs[1:])
                 got = cs[nb_o[1:]] - cs[nb_o[:-1]]
                 kept[miss] = got
                 known.update(zip(mv.tolist(), got.tolist()))
@@ -483,7 +487,7 @@ class LevelOps:
             fpos = ca.searchsorted(floors, side="right")
             if keep is not None:
                 below = np.zeros(m + 1, dtype=np.int64)
-                np.cumsum(keep, out=below[1:])
+                keep.cumsum(out=below[1:])
                 counts = below[m] - below[fpos]
             else:
                 counts = (m - fpos).astype(np.int64)

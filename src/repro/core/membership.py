@@ -26,11 +26,11 @@ def _member_sorted_np(hay: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """``out[i] = needles[i] in hay`` for sorted unique ``hay``."""
     if hay.size == 0 or needles.size == 0:
         return np.zeros(needles.shape, dtype=bool)
-    # ndarray.searchsorted skips the np.searchsorted dispatch wrapper —
-    # this primitive runs millions of times on tiny arrays
-    pos = hay.searchsorted(needles)
-    np.minimum(pos, hay.size - 1, out=pos)
-    return hay[pos] == needles
+    # ndarray methods skip the np.* dispatch wrappers — this primitive
+    # runs millions of times on tiny arrays.  A needle past the end
+    # clips onto hay[-1], which is smaller, so it reads as absent.
+    found: np.ndarray = hay.take(hay.searchsorted(needles), mode="clip") == needles
+    return found
 
 
 if HAVE_NUMBA:  # pragma: no cover - numba is absent in the default env

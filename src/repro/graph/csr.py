@@ -17,7 +17,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ADJACENCY_BITMAP_MAX_VERTICES", "CSRGraph", "DEFAULT_BITMAP_THRESHOLD"]
+__all__ = [
+    "ADJACENCY_BITMAP_MAX_VERTICES",
+    "CSRGraph",
+    "DEFAULT_BITMAP_THRESHOLD",
+    "SLICE_GATHER_ROWS",
+    "gather_rows",
+]
 
 #: degree at which a vertex's neighbor list is worth a dense bitmap row:
 #: membership tests against such operands dominate ``getCandidates`` on
@@ -32,6 +38,49 @@ DEFAULT_BITMAP_THRESHOLD = 1024
 #: method refuses and the B409 lint rule says to set
 #: ``bitmap_threshold=None`` instead.
 ADJACENCY_BITMAP_MAX_VERTICES = 1 << 18
+
+#: batches of at most this many rows are gathered one CSR slice per row:
+#: the engine's frame steps gather a few rows of a few elements, where
+#: each NumPy call costs more than the elements do.  Slicing costs
+#: ~0.4 µs a row, so past ~12 rows one fancy-index gather is cheaper
+#: (docs/PERFORMANCE.md, "Per-call cost", has the sweep)
+SLICE_GATHER_ROWS = 12
+
+
+def gather_rows(indptr: np.ndarray, indices: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the CSR ``(indptr, indices)`` back to back.
+
+    Returns ``(values, offsets)``: row ``rows[i]`` is
+    ``values[offsets[i]:offsets[i + 1]]``; ``values`` is a fresh array
+    of ``indices``' dtype, ``offsets`` ``int64`` of length
+    ``len(rows) + 1``.  Small batches concatenate one slice per row,
+    with the row bounds read as Python ints through a ``memoryview``
+    made here (a cached one would make the graph unpicklable); larger
+    ones are one fancy-index gather.
+    """
+    if 0 < rows.size <= SLICE_GATHER_ROWS:
+        ptr = memoryview(indptr)
+        parts = []
+        offs = [0]
+        end = 0
+        for r in rows.tolist():
+            lo, hi = ptr[r], ptr[r + 1]
+            parts.append(indices[lo:hi])
+            end += hi - lo
+            offs.append(end)
+        return np.concatenate(parts), np.array(offs, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    offsets = np.empty(rows.size + 1, dtype=np.int64)
+    offsets[0] = 0
+    lens.cumsum(out=offsets[1:])
+    total = int(offsets[-1])
+    if total == 0:
+        return np.empty(0, dtype=indices.dtype), offsets
+    idx = np.arange(total, dtype=np.int64) + (starts - offsets[:-1]).repeat(lens)
+    return indices[idx], offsets
 
 
 def _as_int32(a: np.ndarray | Sequence[int]) -> np.ndarray:
@@ -246,21 +295,11 @@ class CSRGraph:
         Returns ``(values, offsets)``: ``values`` holds the sorted
         neighbor lists of ``vs`` back to back in one ``int32`` array and
         ``offsets`` (``int64``, length ``len(vs) + 1``) delimits them —
-        the list of ``vs[i]`` is ``values[offsets[i]:offsets[i + 1]]``.
-        One fancy-index gather replaces ``len(vs)`` CSR slices, which is
-        the segmented operand form of the engine's vectorized fast path.
+        the list of ``vs[i]`` is ``values[offsets[i]:offsets[i + 1]]``
+        (:func:`gather_rows`) — the segmented operand form of the
+        engine's vectorized fast path.
         """
-        vs = np.asarray(vs, dtype=np.int64)
-        starts = self.indptr[vs]
-        lens = self.indptr[vs + 1] - starts
-        offsets = np.empty(vs.size + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(lens, out=offsets[1:])
-        total = int(offsets[-1])
-        if total == 0:
-            return np.empty(0, dtype=np.int32), offsets
-        idx = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets[:-1], lens)
-        return self.indices[idx], offsets
+        return gather_rows(self.indptr, self.indices, vs)
 
     def in_neighbors_batch(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`in_neighbors` (equals :meth:`neighbors_batch`

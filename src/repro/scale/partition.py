@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 
 if TYPE_CHECKING:
     from repro.analysis.races.events import ProtocolLog
@@ -239,23 +239,11 @@ class PartitionedGraph(CSRGraph):
         return super().neighbors(v)
 
     def neighbors_batch(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vs = np.asarray(vs, dtype=np.int64)
-        rows = self._local_row[vs] if vs.size else vs  # type: ignore[attr-defined]
-        if vs.size and rows.min() >= 0:
-            ptr = self._local_indptr  # type: ignore[attr-defined]
-            starts = ptr[rows]
-            lens = ptr[rows + 1] - starts
-            offsets = np.empty(vs.size + 1, dtype=np.int64)
-            offsets[0] = 0
-            np.cumsum(lens, out=offsets[1:])
-            total = int(offsets[-1])
-            if total == 0:
-                return np.empty(0, dtype=np.int32), offsets
-            idx = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets[:-1], lens)
-            return self._local_indices[idx], offsets  # type: ignore[attr-defined]
-        if vs.size:
-            escaped = int(np.count_nonzero(rows < 0))
-            object.__setattr__(self, "_fallback_rows", self.fallback_rows + escaped)
+        rows = self._local_row[vs]  # type: ignore[attr-defined]
+        escaped = int(np.count_nonzero(rows < 0))
+        if not escaped:
+            return gather_rows(self._local_indptr, self._local_indices, rows)  # type: ignore[attr-defined]
+        object.__setattr__(self, "_fallback_rows", self.fallback_rows + escaped)
         return super().neighbors_batch(vs)
 
     # -- residency accounting -------------------------------------------

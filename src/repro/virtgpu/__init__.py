@@ -20,9 +20,7 @@ from .primitives import (
 from .scheduler import EventScheduler, StepResult
 from .setops import (
     combined_set_op,
-    combined_set_op_batch,
     combined_set_op_lockstep,
-    membership_batch,
     single_set_op,
 )
 from .warp import Warp, WarpCounters
@@ -48,8 +46,6 @@ __all__ = [
     "lane_binary_search",
     "compact_offsets",
     "combined_set_op",
-    "combined_set_op_batch",
     "combined_set_op_lockstep",
-    "membership_batch",
     "single_set_op",
 ]

@@ -11,13 +11,6 @@ Two implementations of the same semantics:
   the SIMT primitives (``ballot``/``popc``/prefix sums), following the
   Fig. 8 data flow literally.  Property tests pin the production path
   to it.
-* :func:`combined_set_op_batch` — the segmented fast-path form: the M
-  per-slot input sets arrive as one ``(values, segments)`` pair and the
-  per-slot operands as one ``(operand_values, operand_offsets)`` pair,
-  so a whole unrolled batch is one ``np.searchsorted`` instead of M
-  per-slot searches.  Results and warp charges are identical to
-  :func:`combined_set_op` on the same per-slot data (property-tested);
-  only the host-side Python overhead differs.
 
 Both intersect (``difference=False``) or subtract (``difference=True``)
 each input set against its own sorted operand.  All arrays are sorted
@@ -36,95 +29,9 @@ from .warp import Warp
 
 __all__ = [
     "combined_set_op",
-    "combined_set_op_batch",
     "combined_set_op_lockstep",
-    "membership_batch",
     "single_set_op",
 ]
-
-
-def membership_batch(
-    values: np.ndarray,
-    value_segments: np.ndarray | None,
-    operand_values: np.ndarray,
-    operand_offsets: np.ndarray | None = None,
-    stride: int | None = None,
-) -> np.ndarray:
-    """Vectorized membership: ``out[i] = values[i] ∈ operand(segment i)``.
-
-    With ``operand_offsets is None`` a single sorted operand is
-    broadcast to every element (one plain ``searchsorted``).  Otherwise
-    operand segment ``s`` is
-    ``operand_values[operand_offsets[s]:operand_offsets[s + 1]]`` and a
-    single *keyed* ``searchsorted`` resolves all segments at once: both
-    sides are mapped to ``segment * stride + value``, which preserves
-    sort order because every value is below ``stride`` (callers pass the
-    graph's vertex count).
-    """
-    values = np.asarray(values)
-    operand_values = np.asarray(operand_values)
-    if operand_values.size == 0 or values.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    if operand_offsets is None:
-        pos = np.searchsorted(operand_values, values)
-        np.minimum(pos, operand_values.size - 1, out=pos)
-        return operand_values[pos] == values
-    if stride is None or value_segments is None:
-        raise ValueError("segmented operands need value_segments and a stride")
-    num_segments = int(operand_offsets.size - 1)
-    op_seg = np.repeat(
-        np.arange(num_segments, dtype=np.int64),
-        operand_offsets[1:] - operand_offsets[:-1],
-    )
-    op_keys = op_seg * stride + operand_values.astype(np.int64)
-    val_keys = np.asarray(value_segments, dtype=np.int64) * stride + values.astype(np.int64)
-    pos = np.searchsorted(op_keys, val_keys)
-    np.minimum(pos, op_keys.size - 1, out=pos)
-    return op_keys[pos] == val_keys
-
-
-def combined_set_op_batch(
-    warp: Warp | None,
-    values: np.ndarray,
-    value_segments: np.ndarray,
-    operand_values: np.ndarray,
-    operand_offsets: np.ndarray | None = None,
-    difference: bool = False,
-    in_global: bool = True,
-    stride: int | None = None,
-    found: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segmented form of :func:`combined_set_op`.
-
-    The M per-slot input sets arrive flattened as ``values`` with their
-    slot ids in ``value_segments`` (nondecreasing); the operands either
-    as one broadcast array (``operand_offsets is None``) or segmented.
-    ``found`` optionally injects a precomputed membership mask (the
-    adjacency-bitmap index) — the warp charge is *always* the binary-
-    search cost model, so accelerated lookups change host wall-clock
-    only.  Returns the filtered ``(values, segments)`` pair.
-
-    The charge is exactly :func:`combined_set_op`'s on the same
-    per-slot data: ``total`` input elements against the largest operand
-    segment (floored at 1).
-    """
-    total = int(values.size)
-    if operand_offsets is None:
-        max_operand = int(np.asarray(operand_values).size)
-    else:
-        lens = operand_offsets[1:] - operand_offsets[:-1]
-        max_operand = int(lens.max()) if lens.size else 0
-    if found is None:
-        found = membership_batch(values, value_segments, operand_values,
-                                 operand_offsets, stride)
-    keep = ~found if difference else found
-    if warp is not None:
-        warp.charge_set_op(total, max(max_operand, 1), in_global=in_global)
-        if warp.tracer is not None:
-            segs = np.asarray(value_segments)
-            num_slots = int(segs.max()) + 1 if segs.size else 0
-            warp.tracer.on_combined_set_op(warp, num_slots, total, max_operand)
-    return values[keep], value_segments[keep]
 
 
 def single_set_op(

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.levelops import LevelOps
+from repro.core.membership import member_sorted
+from repro.graph.csr import CSRGraph
 from repro.virtgpu import (
     Warp,
     combined_set_op,
-    combined_set_op_batch,
     combined_set_op_lockstep,
-    membership_batch,
     single_set_op,
 )
 
@@ -148,34 +149,49 @@ def _segmented(slot_arrays):
     return vals, segs
 
 
+def _ops_over(rows, n=61):
+    """``LevelOps`` over a graph whose row ``i`` is ``rows[i]`` (later
+    vertices isolated), so gathers of vertices ``0..len(rows)-1`` are
+    the batched set-op operands ``rows``."""
+    sizes = [len(r) for r in rows] + [0] * (n - len(rows))
+    indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    indices = np.concatenate([np.asarray(r, dtype=np.int32) for r in rows]
+                             + [np.empty(0, dtype=np.int32)])
+    return LevelOps(CSRGraph(indptr=indptr, indices=indices), 1 << 20, {}, None, None, None)
+
+
 class TestMembershipBatch:
+    """``member_sorted``, the search under every ``LevelOps`` set op,
+    plain and keyed by ``value + segment * n`` for per-slot operands."""
+
     def test_broadcast_operand(self):
-        vals = np.array([1, 3, 5, 7])
-        assert list(membership_batch(vals, None, np.array([3, 7, 9]))) == [
-            False, True, False, True]
+        needles = np.array([1, 3, 5, 7, 9, 10])  # 1 before, 10 past the end
+        assert member_sorted(np.array([3, 7, 9]), needles).tolist() == [
+            False, True, False, True, True, False]
 
     def test_empty_cases(self):
-        assert membership_batch(np.array([1]), None, np.array([])).tolist() == [False]
-        assert membership_batch(np.array([]), None, np.array([1])).size == 0
+        assert member_sorted(np.array([], dtype=np.int64), np.array([1])).tolist() == [False]
+        assert member_sorted(np.array([1]), np.array([], dtype=np.int64)).size == 0
 
     def test_segmented_membership_is_per_segment(self):
+        ops = _ops_over([[1], [2]], n=10)
         vals, segs = _segmented([np.array([1, 2]), np.array([1, 2])])
-        opv, opo = np.array([1, 2]), np.array([0, 1, 2])  # seg0={1}, seg1={2}
-        got = membership_batch(vals, segs, opv, opo, stride=10)
-        assert got.tolist() == [True, False, False, True]
-
-    def test_segmented_requires_stride(self):
-        with pytest.raises(ValueError):
-            membership_batch(np.array([1]), None, np.array([1]), np.array([0, 1]))
+        opnd = ops.gather_slots(np.array([0, 1]), inbound=False, keyed=True)
+        got_v, got_s = ops.set_op(None, vals, segs, opnd, difference=False)
+        assert got_v.tolist() == [1, 2] and got_s.tolist() == [0, 1]
 
     def test_segmented_empty_segment_never_matches(self):
+        ops = _ops_over([[5], []], n=10)
         vals, segs = _segmented([np.array([5]), np.array([5])])
-        opv, opo = np.array([5]), np.array([0, 1, 1])  # seg1 empty
-        got = membership_batch(vals, segs, opv, opo, stride=10)
-        assert got.tolist() == [True, False]
+        opnd = ops.gather_slots(np.array([0, 1]), inbound=False, keyed=True)
+        got_v, got_s = ops.set_op(None, vals, segs, opnd, difference=False)
+        assert got_v.tolist() == [5] and got_s.tolist() == [0]
 
 
 class TestCombinedSetOpBatch:
+    """``LevelOps.set_op``: one search for a whole unrolled batch, with
+    the per-slot ``combined_set_op``'s results and charges."""
+
     @given(sets_strategy, st.booleans())
     @settings(max_examples=80)
     def test_matches_per_slot_path(self, spec, difference):
@@ -184,13 +200,11 @@ class TestCombinedSetOpBatch:
         m = len(spec)
         w_slot = Warp(warp_id=0, block_id=0)
         expected = combined_set_op(w_slot, inputs, operands, [difference] * m)
+        ops = _ops_over(operands)
+        opnd = ops.gather_slots(np.arange(m), inbound=False, keyed=True)
         vals, segs = _segmented(inputs)
-        opv, opo_raw = _segmented(operands)
-        opo = np.concatenate([[0], np.cumsum([b.size for b in operands])])
         w_batch = Warp(warp_id=1, block_id=0)
-        got_v, got_s = combined_set_op_batch(
-            w_batch, vals, segs, opv, opo, difference=difference, stride=61
-        )
+        got_v, got_s = ops.set_op(w_batch, vals, segs, opnd, difference)
         exp_v, exp_s = _segmented(expected)
         assert got_v.tolist() == exp_v.tolist()
         assert got_s.tolist() == exp_s.tolist()
@@ -202,9 +216,10 @@ class TestCombinedSetOpBatch:
     def test_broadcast_equals_replicated_operand(self):
         inputs = [np.array([1, 2, 3]), np.array([2, 4])]
         operand = np.array([2, 3])
+        ops = _ops_over([operand], n=10)
         vals, segs = _segmented(inputs)
         w_b = Warp(warp_id=0, block_id=0)
-        got_v, got_s = combined_set_op_batch(w_b, vals, segs, operand)
+        got_v, got_s = ops.set_op(w_b, vals, segs, ops.gather_prefix(0, inbound=False), False)
         w_s = Warp(warp_id=1, block_id=0)
         expected = combined_set_op(w_s, inputs, [operand] * 2, [False] * 2)
         exp_v, exp_s = _segmented(expected)
@@ -214,19 +229,20 @@ class TestCombinedSetOpBatch:
 
     def test_injected_found_mask_controls_result_not_charge(self):
         """A precomputed mask (the bitmap index) must not change charges."""
+        ops = _ops_over([[2]], n=10)
+        opnd = ops.gather_prefix(0, inbound=False)
         vals = np.array([1, 2, 3])
         segs = np.zeros(3, dtype=np.int64)
-        operand = np.array([2])
         found = np.array([False, True, False])
         w_a = Warp(warp_id=0, block_id=0)
-        got_v, _ = combined_set_op_batch(w_a, vals, segs, operand, found=found)
+        got_v, _ = ops.set_op(w_a, vals, segs, opnd, False, found=found)
         w_b = Warp(warp_id=1, block_id=0)
-        ref_v, _ = combined_set_op_batch(w_b, vals, segs, operand)
+        ref_v, _ = ops.set_op(w_b, vals, segs, opnd, False)
         assert got_v.tolist() == ref_v.tolist() == [2]
         assert w_a.clock == w_b.clock
 
     def test_costless_without_warp(self):
-        got_v, got_s = combined_set_op_batch(
-            None, np.array([1, 2]), np.zeros(2, dtype=np.int64), np.array([2])
-        )
+        ops = _ops_over([[2]], n=10)
+        got_v, got_s = ops.set_op(None, np.array([1, 2]), np.zeros(2, dtype=np.int64),
+                                  ops.gather_prefix(0, inbound=False), False)
         assert got_v.tolist() == [2]
