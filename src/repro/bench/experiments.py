@@ -20,13 +20,7 @@ from repro.graph.datasets import DATASETS
 
 from .harness import CellResult, make_drivers, run_workload
 from .tables import SeriesSet, TextTable, geomean
-from .workloads import (
-    DEFAULT_BUDGET,
-    make_workload,
-    queries_for_fig12,
-    queries_for_table2,
-    scale_for_query,
-)
+from .workloads import DEFAULT_BUDGET, make_workload, queries_for_table2
 
 __all__ = [
     "ExperimentResult",
@@ -38,13 +32,6 @@ __all__ = [
     "fig12_ablation",
     "fig13_unroll_utilization",
     "codemotion_ablation",
-    "fastpath_bench",
-    "codegen_bench",
-    "parallel_scaling",
-    "chaos_sweep",
-    "profile_breakdown",
-    "serve_bench",
-    "scale_bench",
 ]
 
 
@@ -363,1242 +350,3 @@ def codemotion_ablation(
     t.add_note("paper: 'If we disable code motion, the naive baseline will be "
                "about 3× slower'")
     return ExperimentResult(experiment="codemotion", rendered=t.render(), data=raw)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized fast path — host wall-clock benchmark (docs/PERFORMANCE.md)
-# ---------------------------------------------------------------------------
-
-FASTPATH_WORKLOADS: list[tuple[str, str]] = [
-    ("wiki_vote", "q1"),
-    ("wiki_vote", "q7"),
-    ("enron", "q3"),
-    ("mico", "q1"),
-]
-
-
-def fastpath_bench(
-    workloads: list[tuple[str, str]] | None = None,
-    budget: int | None = 2_000_000,
-    scale: str = "small",
-    census: tuple[str, int] | None = ("wiki_vote", 4),
-) -> ExperimentResult:
-    """Wall-clock A/B of the vectorized ``getCandidates`` backend.
-
-    Runs every workload twice — ``fastpath=False`` (the per-slot
-    reference path) and ``fastpath=True`` — and records host wall
-    seconds for each, asserting that match counts and simulated cycle
-    totals are byte-identical (the fast path's contract).  ``census``
-    optionally appends a motif-census row (all connected motifs of the
-    given size, no budget), the paper's motif-counting application.
-    The ``data`` dict is the BENCH_fastpath.json payload.
-    """
-    import time as _time
-
-    workloads = FASTPATH_WORKLOADS if workloads is None else workloads
-    t = TextTable(
-        title=f"Fast-path wall clock (scale={scale!r}, budget={budget})",
-        columns=["workload", "matches", "reference s", "fastpath s",
-                 "speedup", "identical"],
-    )
-    rows = []
-    runs: dict[str, tuple[RunResult, RunResult]] = {}
-
-    def run_pair(key, graph, queries, vertex_induced, budget):
-        """Time both backends over the workload's query list."""
-        walls = []
-        totals = []
-        for fast in (False, True):
-            cfg = EngineConfig(fastpath=fast, max_results=budget)
-            engine = STMatchEngine(graph, cfg)
-            matches = 0
-            cycles = 0.0
-            t0 = _time.perf_counter()
-            for q in queries:
-                res = engine.run(q, vertex_induced=vertex_induced)
-                matches += res.matches
-                cycles += res.cycles
-            walls.append(_time.perf_counter() - t0)
-            totals.append((matches, cycles))
-        (ref_m, ref_c), (fast_m, fast_c) = totals
-        wall_ref, wall_fast = walls
-        speedup = wall_ref / wall_fast if wall_fast else float("inf")
-        row = {
-            "key": key,
-            "matches": ref_m,
-            "cycles": ref_c,
-            "wall_s_reference": round(wall_ref, 4),
-            "wall_s_fastpath": round(wall_fast, 4),
-            "speedup": round(speedup, 3),
-            "identical_matches": ref_m == fast_m,
-            "identical_cycles": ref_c == fast_c,
-        }
-        rows.append(row)
-        t.add_row(key, ref_m, f"{wall_ref:.2f}", f"{wall_fast:.2f}",
-                  f"{speedup:.2f}×",
-                  "yes" if row["identical_matches"] and row["identical_cycles"]
-                  else "NO")
-
-    for ds, qn in workloads:
-        w = make_workload(ds, qn, scale=scale, budget=budget)
-        run_pair(f"{ds}/{qn}", w.graph, [w.query], False, w.budget)
-    if census is not None:
-        ds, size = census
-        from repro.pattern.motifs import connected_motifs
-
-        graph = load_dataset(ds, scale=scale)
-        run_pair(f"{ds}/census{size}", graph, connected_motifs(size), True, None)
-
-    speedups = [r["speedup"] for r in rows]
-    gm = geomean(speedups) if speedups else float("nan")
-    t.add_note(f"geomean speedup {gm:.2f}× — identical columns assert "
-               "byte-identical matches AND simulated cycles (the "
-               "cost-model-preservation contract)")
-    data = {
-        "experiment": "fastpath",
-        "scale": scale,
-        "budget": budget,
-        "workloads": rows,
-        "geomean_speedup": round(gm, 3),
-    }
-    return ExperimentResult(experiment="fastpath", rendered=t.render(), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Compiled codegen tier — host wall-clock benchmark (docs/PERFORMANCE.md)
-# ---------------------------------------------------------------------------
-
-#: dense synthetic cells for the compiled-tier gate.  The registry's
-#: stand-in datasets are far sparser than the paper's graphs (Table I:
-#: Orkut averages 76 neighbors, MiCo 22 — the scaled stand-ins sit at a
-#: median degree of 4–12), and on near-empty candidate arrays the
-#: shared kernel loop dominates both backends, hiding the compiled
-#: tier's advantage.  These cells restore paper-like density (median
-#: degree ≈ 34) so the measured speedup reflects frame computation.
-CODEGEN_DENSE_GRAPH = ("dense24", 400, 24, 0.5, 41)  # name, n, m, p_tri, seed
-
-CODEGEN_DENSE_QUERIES: tuple[str, ...] = ("q1", "q3", "q5", "q7")
-
-#: registry stand-ins measured alongside (informational — sparse rows
-#: are reported but do not feed the dense-geomean gate)
-CODEGEN_SPARSE_WORKLOADS: list[tuple[str, str]] = [
-    ("mico", "q1"),
-    ("wiki_vote", "q5"),
-    ("enron", "q3"),
-]
-
-#: median-degree floor above which a cell counts toward the dense gate
-CODEGEN_DENSE_MEDIAN_DEGREE = 20.0
-
-CODEGEN_DENSE_BUDGET = 3_000_000
-
-
-def codegen_bench(
-    workloads: list[tuple[str, str]] | None = None,
-    budget: int | None = 500_000,
-    scale: str = "small",
-    repeats: int = 3,
-) -> ExperimentResult:
-    """Wall-clock A/B of the compiled per-query kernel tier.
-
-    Runs every cell twice on the vectorized fast path — ``codegen=False``
-    (interpreted plan IR) and ``codegen=True`` (the emitted per-plan
-    module) — asserting byte-identical matches and simulated cycles
-    (the compiled tier's contract) and recording the best of
-    ``repeats`` timed runs per backend after an untimed warmup (the
-    warmup absorbs the one-off ``exec`` compile on the codegen arm and
-    cache/allocator warmth on both).
-
-    Cells come in two bands: the dense synthetic graph
-    (:data:`CODEGEN_DENSE_GRAPH`, pinned at
-    :data:`CODEGEN_DENSE_BUDGET` matches) whose rows feed
-    ``geomean_speedup_dense`` — the ≥2× CI gate — and the registry
-    stand-ins (``workloads``/``budget``), reported for visibility on
-    sparse inputs where the shared kernel loop bounds the ratio.  The
-    ``data`` dict is the BENCH_codegen.json payload consumed by
-    ``scripts/check_bench_regression.py --codegen``.
-    """
-    import time as _time
-
-    import numpy as _np
-
-    from repro.codegen.compile import code_cache_stats
-    from repro.graph.generators import powerlaw_cluster
-
-    workloads = CODEGEN_SPARSE_WORKLOADS if workloads is None else workloads
-    t = TextTable(
-        title=f"Codegen tier wall clock (scale={scale!r}, repeats={repeats})",
-        columns=["workload", "dense", "matches", "interp s", "codegen s",
-                 "speedup", "identical"],
-    )
-    rows: list[dict] = []
-
-    def run_cell(key, graph, query, cell_budget):
-        meddeg = float(_np.median(_np.diff(graph.indptr)))
-        walls = {}
-        totals = {}
-        for cg in (False, True):
-            cfg = EngineConfig(fastpath=True, codegen=cg,
-                               max_results=cell_budget)
-            engine = STMatchEngine(graph, cfg)
-            engine.run(query)  # warmup (codegen arm compiles here)
-            best = float("inf")
-            res = None
-            for _ in range(max(repeats, 1)):
-                t0 = _time.perf_counter()
-                res = engine.run(query)
-                best = min(best, _time.perf_counter() - t0)
-            walls[cg] = best
-            totals[cg] = (res.matches, res.cycles)
-        (ref_m, ref_c), (cg_m, cg_c) = totals[False], totals[True]
-        speedup = walls[False] / walls[True] if walls[True] else float("inf")
-        row = {
-            "key": key,
-            "dense": meddeg >= CODEGEN_DENSE_MEDIAN_DEGREE,
-            "median_degree": meddeg,
-            "budget": cell_budget,
-            "matches": ref_m,
-            "cycles": ref_c,
-            "wall_s_interp": round(walls[False], 4),
-            "wall_s_codegen": round(walls[True], 4),
-            "speedup": round(speedup, 3),
-            "identical_matches": ref_m == cg_m,
-            "identical_cycles": ref_c == cg_c,
-        }
-        rows.append(row)
-        t.add_row(key, "yes" if row["dense"] else "no", ref_m,
-                  f"{walls[False]:.2f}", f"{walls[True]:.2f}",
-                  f"{speedup:.2f}×",
-                  "yes" if row["identical_matches"] and row["identical_cycles"]
-                  else "NO")
-
-    from repro.pattern import QUERIES
-
-    name, n, m, p_tri, seed = CODEGEN_DENSE_GRAPH
-    dense_graph = powerlaw_cluster(n, m=m, p_triangle=p_tri, seed=seed,
-                                   name=name)
-    for qn in CODEGEN_DENSE_QUERIES:
-        run_cell(f"{name}/{qn}", dense_graph, QUERIES[qn],
-                 CODEGEN_DENSE_BUDGET)
-    for ds, qn in workloads:
-        w = make_workload(ds, qn, scale=scale, budget=budget)
-        run_cell(f"{ds}/{qn}", w.graph, w.query, w.budget)
-
-    speedups = [r["speedup"] for r in rows]
-    dense_speedups = [r["speedup"] for r in rows if r["dense"]]
-    gm = geomean(speedups) if speedups else float("nan")
-    gm_dense = geomean(dense_speedups) if dense_speedups else float("nan")
-    t.add_note(f"geomean speedup {gm:.2f}× (dense cells {gm_dense:.2f}×) — "
-               "identical columns assert byte-identical matches AND "
-               "simulated cycles; only dense rows feed the CI gate")
-    cache = code_cache_stats()
-    t.add_note(f"code cache: {cache['hits']} hits / {cache['misses']} misses "
-               f"/ {cache['evictions']} evictions, "
-               f"{cache['size']}/{cache['capacity']} entries")
-    data = {
-        "experiment": "codegen",
-        "scale": scale,
-        "budget": budget,
-        "dense_budget": CODEGEN_DENSE_BUDGET,
-        "repeats": repeats,
-        "workloads": rows,
-        "geomean_speedup": round(gm, 3),
-        "geomean_speedup_dense": round(gm_dense, 3),
-        "cache": cache,
-    }
-    return ExperimentResult(experiment="codegen", rendered=t.render(), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Parallel backend — worker-count scaling curve (docs/PERFORMANCE.md)
-# ---------------------------------------------------------------------------
-
-PARALLEL_WORKER_COUNTS: tuple[int, ...] = (1, 2, 4, 8)
-
-
-def parallel_scaling(
-    workloads: list[tuple[str, str]] | None = None,
-    budget: int | None = 2_000_000,
-    scale: str = "small",
-    worker_counts: tuple[int, ...] = PARALLEL_WORKER_COUNTS,
-) -> ExperimentResult:
-    """Wall-clock scaling of the process execution backend.
-
-    For every workload and worker count ``k``, the run is split into
-    ``k`` round-robin root-chunk partitions (``run_partitioned``) and
-    executed twice over the *same* decomposition: once with
-    ``executor="serial"`` (the in-process loop) and once with
-    ``executor="process"`` (the shared-memory worker pool), asserting
-    per-shard identity of matches and simulated cycles — the backend's
-    contract.  Pools and the graph export are warmed with an untimed
-    run so the curve measures steady state, not fork cost.
-
-    The payload records ``cpu_count`` (usable cores at measurement
-    time): real speedup is physically bounded by ``min(k, cpu_count)``,
-    and ``scripts/check_bench_regression.py --parallel`` scales its
-    acceptance floor by exactly that bound, so a payload generated on a
-    constrained box stays honest instead of faking scaling it could
-    not have measured.
-    """
-    import os as _os
-    import time as _time
-
-    from repro.core.engine import STMatchEngine
-    from repro.parallel import default_num_workers, shutdown_pools
-
-    workloads = FASTPATH_WORKLOADS if workloads is None else workloads
-    cpus = default_num_workers()
-    t = TextTable(
-        title=(f"Parallel backend scaling (scale={scale!r}, budget={budget}, "
-               f"{cpus} usable CPU(s))"),
-        columns=["workload", "workers", "matches", "serial s", "process s",
-                 "speedup", "identical"],
-    )
-    # the A/B must control the backend explicitly: stash any CI-matrix
-    # env overrides during measurement, restore after
-    saved_env = {k: _os.environ.pop(k, None)
-                 for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
-    rows = []
-    try:
-        for ds, qn in workloads:
-            w = make_workload(ds, qn, scale=scale, budget=budget)
-            key = f"{ds}/{qn}"
-            points = []
-            for k in worker_counts:
-                scfg = EngineConfig(max_results=w.budget, executor="serial")
-                pcfg = EngineConfig(max_results=w.budget, executor="process",
-                                    num_workers=k)
-                # warm the pool + shared-memory export (untimed, tiny run)
-                STMatchEngine(
-                    w.graph, pcfg.with_(max_results=1000)
-                ).run_partitioned(w.query, num_partitions=k)
-                t0 = _time.perf_counter()
-                sres = STMatchEngine(w.graph, scfg).run_partitioned(
-                    w.query, num_partitions=k)
-                wall_serial = _time.perf_counter() - t0
-                t0 = _time.perf_counter()
-                pres = STMatchEngine(w.graph, pcfg).run_partitioned(
-                    w.query, num_partitions=k)
-                wall_process = _time.perf_counter() - t0
-                identical_matches = (
-                    sres.matches == pres.matches
-                    and [d.matches for d in sres.per_device]
-                    == [d.matches for d in pres.per_device]
-                )
-                identical_cycles = (
-                    [d.cycles for d in sres.per_device]
-                    == [d.cycles for d in pres.per_device]
-                    and sres.sim_ms == pres.sim_ms
-                )
-                speedup = (wall_serial / wall_process
-                           if wall_process else float("inf"))
-                points.append({
-                    "workers": k,
-                    "matches": sres.matches,
-                    "wall_s_serial": round(wall_serial, 4),
-                    "wall_s_process": round(wall_process, 4),
-                    "speedup": round(speedup, 3),
-                    "identical_matches": identical_matches,
-                    "identical_cycles": identical_cycles,
-                })
-                t.add_row(key, k, sres.matches, f"{wall_serial:.2f}",
-                          f"{wall_process:.2f}", f"{speedup:.2f}×",
-                          "yes" if identical_matches and identical_cycles
-                          else "NO")
-            at4 = next((p["speedup"] for p in points if p["workers"] == 4),
-                       None)
-            rows.append({
-                "key": key,
-                "matches": points[0]["matches"] if points else 0,
-                "points": points,
-                "speedup_at_4": at4,
-                # flat per-workload flags so generic tooling can gate on
-                # them like any other bench payload
-                "identical_matches": all(p["identical_matches"]
-                                         for p in points),
-                "identical_cycles": all(p["identical_cycles"]
-                                        for p in points),
-            })
-    finally:
-        for k, v in saved_env.items():
-            if v is not None:
-                _os.environ[k] = v
-        shutdown_pools()
-
-    at4 = [r["speedup_at_4"] for r in rows if r["speedup_at_4"] is not None]
-    gm4 = geomean(at4) if at4 else float("nan")
-    attainable = min(4, cpus)
-    t.add_note(f"geomean speedup at 4 workers: {gm4:.2f}× "
-               f"(physical bound on this host: {attainable}×; the gate "
-               "scales its floor by min(workers, cpu_count)/workers)")
-    data = {
-        "experiment": "parallel",
-        "scale": scale,
-        "budget": budget,
-        "cpu_count": cpus,
-        "worker_counts": list(worker_counts),
-        "workloads": rows,
-        "geomean_speedup_at_4": round(gm4, 3) if at4 else None,
-    }
-    return ExperimentResult(experiment="parallel", rendered=t.render(),
-                            data=data)
-
-
-# ---------------------------------------------------------------------------
-# Profile — per-optimization breakdown from the observability layer
-# ---------------------------------------------------------------------------
-
-
-def profile_breakdown(
-    dataset: str = "wiki_vote",
-    queries: list[str] | None = None,
-    scale: str = "tiny",
-    budget: int | None = DEFAULT_BUDGET,
-) -> ExperimentResult:
-    """Fig. 12-style per-optimization breakdown from ``repro.obs``.
-
-    For every query, runs the optimization ladder — ``baseline`` (naive,
-    no code motion), ``+codemotion``, ``+steal`` (local+global),
-    ``+unroll`` (the full engine) — recording simulated cycles per rung,
-    then A/Bs the fastpath backend on the full engine for host
-    wall-clock (asserting byte-identical matches and cycles, the
-    cost-model-preservation contract).  The full-engine run is observed:
-    its report supplies per-warp steal/lane-utilization stats, per-level
-    candidate metrics and unroll batch fill.  The ``data`` dict is the
-    schema-validated BENCH_profile.json payload.
-    """
-    import time as _time
-
-    from repro.obs import validate_profile
-    from repro.obs.report import PROFILE_VARIANTS, SCHEMA_VERSION
-
-    queries = queries or [f"q{i}" for i in range(1, 14)]
-    ladder = [
-        ("baseline", EngineConfig.naive(code_motion=False)),
-        ("+codemotion", EngineConfig.naive()),
-        ("+steal", EngineConfig.local_global_steal()),
-        ("+unroll", EngineConfig.full()),
-    ]
-    assert tuple(name for name, _ in ladder) == PROFILE_VARIANTS
-    t = TextTable(
-        title=(f"Profile — per-optimization cycle breakdown "
-               f"({dataset}, scale={scale!r}, budget={budget})"),
-        columns=["query", *(name for name, _ in ladder),
-                 "full/naive", "lane util", "fastpath wall"],
-    )
-    qdata: dict[str, dict] = {}
-    for qn in queries:
-        w = make_workload(dataset, qn, scale=scale, budget=budget)
-        variants: dict[str, dict] = {}
-        full_res = None
-        wall_fast = 0.0
-        for vname, vcfg in ladder:
-            cfg = vcfg.with_(max_results=w.budget,
-                             observe=(vname == "+unroll"))
-            t0 = _time.perf_counter()
-            res = STMatchEngine(w.graph, cfg).run(
-                w.query, vertex_induced=w.vertex_induced)
-            wall = _time.perf_counter() - t0
-            variants[vname] = {
-                "cycles": res.cycles,
-                "sim_ms": res.sim_ms,
-                "matches": res.matches,
-                "status": res.status,
-            }
-            if vname == "+unroll":
-                full_res, wall_fast = res, wall
-        assert full_res is not None and full_res.report is not None
-        # fastpath A/B on the full engine: reference backend, same cycles
-        ref_cfg = EngineConfig.full(fastpath=False, max_results=w.budget)
-        t0 = _time.perf_counter()
-        ref_res = STMatchEngine(w.graph, ref_cfg).run(
-            w.query, vertex_induced=w.vertex_induced)
-        wall_ref = _time.perf_counter() - t0
-        fast = {
-            "wall_s_reference": round(wall_ref, 4),
-            "wall_s_fastpath": round(wall_fast, 4),
-            "speedup": round(wall_ref / wall_fast if wall_fast else
-                             float("inf"), 3),
-            "identical_cycles": ref_res.cycles == full_res.cycles,
-            "identical_matches": ref_res.matches == full_res.matches,
-        }
-        rep = full_res.report
-        base_ms = variants["baseline"]["sim_ms"]
-        full_ms = variants["+unroll"]["sim_ms"]
-        speedup = base_ms / full_ms if full_ms else float("nan")
-        warps = [
-            {
-                "block": row["block"],
-                "warp": row["warp"],
-                "clock": row["clock"],
-                "busy_cycles": row["busy_cycles"],
-                "idle_cycles": row["idle_cycles"],
-                "lane_utilization": row["lane_utilization"],
-                "batches": row["batches"],
-                "local_attempts": row["local_attempts"],
-                "steals": row["steals"],
-            }
-            for row in rep["warps"]
-        ]
-        qdata[qn] = {
-            "variants": variants,
-            "speedup_full_vs_baseline": round(speedup, 3),
-            "fastpath": fast,
-            "warps": warps,
-            "levels": rep["levels"],
-            "steals": rep["steals"],
-            "unroll": rep["unroll"],
-            "caches": rep.get("caches", {}),
-        }
-        active = [r for r in warps if r["batches"]]
-        mean_util = (sum(r["lane_utilization"] for r in active)
-                     / len(active)) if active else 0.0
-        t.add_row(
-            qn,
-            *(f"{variants[name]['sim_ms']:.2f}" for name, _ in ladder),
-            f"{speedup:.2f}×",
-            f"{mean_util:.2f}",
-            f"{fast['speedup']:.2f}×" + ("" if fast["identical_cycles"]
-                                         and fast["identical_matches"]
-                                         else " NOT-IDENTICAL"),
-        )
-    t.add_note("cells: simulated ms per ladder rung; 'full/naive' is the "
-               "Fig. 12 headline speedup; fastpath wall is host-side only "
-               "(cycles byte-identical by contract)")
-    last = next(reversed(qdata.values()), None) if qdata else None
-    if last and last.get("caches"):
-        t.add_note("caches: " + "; ".join(
-            f"{name} {c['hits']}h/{c['misses']}m/{c['evictions']}e "
-            f"({c['size']}/{c['capacity']} entries)"
-            for name, c in last["caches"].items()))
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "profile",
-        "dataset": dataset,
-        "scale": scale,
-        "budget": budget,
-        "queries": qdata,
-    }
-    validate_profile(data)
-    return ExperimentResult(experiment="profile", rendered=t.render(), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Chaos sweep — fault injection with exact count identity (docs/ROBUSTNESS.md)
-# ---------------------------------------------------------------------------
-
-
-def chaos_sweep(
-    num_seeds: int = 5,
-    dataset: str = "wiki_vote",
-    query: str = "q1",
-    num_devices: int = 3,
-    num_machines: int = 2,
-    gpus_per_machine: int = 1,
-    scale: str = "tiny",
-    budget: int | None = None,
-    seed_base: int = 0,
-) -> ExperimentResult:
-    """Seeded fault-injection sweep asserting exact count identity.
-
-    For every seed: draw a :class:`~repro.faults.FaultPlan`, run the
-    multi-GPU executor and the distributed executor under it, and check
-    the invariant the recovery layer promises — a run that reports a
-    countable status (``ok``/``recovered``) counts *exactly* the
-    fault-free number of matches; anything else must carry a non-empty
-    failure ``detail``.  Raises ``AssertionError`` on the first
-    violation, so ``python -m repro.bench chaos --seed-sweep N`` is a
-    self-checking chaos harness (the tier-1 suite runs a fixed-seed
-    subset of the same check).
-    """
-    from repro.core.distributed import run_distributed
-    from repro.faults import FaultPlan
-
-    w = make_workload(dataset, query, scale=scale, budget=budget)
-    cfg = EngineConfig(checkpoint_interval=2, max_results=budget)
-    engine = STMatchEngine(w.graph, cfg)
-    plan = engine.plan(w.query)
-    baseline = run_multi_gpu(w.graph, plan, num_devices, cfg)
-    assert baseline.countable, f"fault-free baseline failed: {baseline.detail}"
-    dist_baseline = run_distributed(
-        w.graph, plan, num_machines, gpus_per_machine, cfg
-    )
-
-    t = TextTable(
-        title=(f"Chaos sweep — {dataset}/{query} (scale={scale!r}, "
-               f"{num_devices} GPUs, {num_machines} machines, "
-               f"{num_seeds} seeds)"),
-        columns=["seed", "faults", "multi-gpu", "requeued",
-                 "distributed", "identity"],
-    )
-    rows = []
-    for seed in range(seed_base, seed_base + num_seeds):
-        fp = FaultPlan.random(seed, num_devices=num_devices,
-                              num_machines=num_machines)
-        mg = run_multi_gpu(w.graph, plan, num_devices, cfg, fault_plan=fp)
-        di = run_distributed(w.graph, plan, num_machines, gpus_per_machine,
-                             cfg, fault_plan=fp)
-        mg_identity = (mg.matches == baseline.matches) if mg.countable else None
-        di_identity = (di.matches == dist_baseline.matches) if di.countable else None
-        for label, res, ident in (("multi-gpu", mg, mg_identity),
-                                  ("distributed", di, di_identity)):
-            if ident is False:
-                raise AssertionError(
-                    f"seed {seed}: {label} count identity broken — "
-                    f"{res.matches} != fault-free baseline "
-                    f"(status {res.status}; {res.detail})")
-            if ident is None and not res.detail:
-                raise AssertionError(
-                    f"seed {seed}: {label} reported {res.status} "
-                    "with an empty failure detail")
-        identity = "exact" if (mg_identity and di_identity) else (
-            "exact*" if (mg_identity or di_identity) else "failed-loud")
-        t.add_row(seed, len(fp.events), mg.status, mg.num_requeued,
-                  di.status, identity)
-        rows.append({
-            "seed": seed,
-            "num_faults": len(fp.events),
-            "fault_plan": fp.describe(),
-            "multi_gpu_status": mg.status,
-            "multi_gpu_matches": mg.matches,
-            "multi_gpu_requeued": mg.num_requeued,
-            "distributed_status": di.status,
-            "distributed_matches": di.matches,
-            "distributed_requeued": di.num_requeued,
-            "identity": identity,
-        })
-    t.add_note(f"baseline: {baseline.matches} matches (multi-GPU), "
-               f"{dist_baseline.matches} (distributed) — every countable "
-               "faulted run matched it exactly; non-countable runs failed "
-               "loudly with a recovery trail")
-    data = {
-        "experiment": "chaos",
-        "dataset": dataset,
-        "query": query,
-        "scale": scale,
-        "num_devices": num_devices,
-        "num_machines": num_machines,
-        "baseline_matches": baseline.matches,
-        "distributed_baseline_matches": dist_baseline.matches,
-        "seeds": rows,
-    }
-    return ExperimentResult(experiment="chaos", rendered=t.render(), data=data)
-
-
-def serve_bench(
-    clients: int = 8,
-    num_requests: int = 64,
-    dataset: str = "wiki_vote",
-    update_dataset: str = "mico",
-    scale: str = "tiny",
-    seed: int = 0,
-) -> ExperimentResult:
-    """Closed-loop load + chaos-under-load bench of the match service.
-
-    **Phase A (load)** drives a serial-backend service with ``clients``
-    concurrent closed-loop threads over a seeded request mix (repeated
-    idempotency keys, budget-truncated requests, a quota-limited
-    tenant) against a deliberately small admission queue, and replaces
-    the hosted graph mid-run.  Latency percentiles, throughput and the
-    shed rate are machine-dependent and merely *recorded*; what is
-    *asserted* is the robustness contract — every countable response
-    equals the golden count for the graph version it names, and every
-    degraded/shed/failed response is explicitly marked with a detail.
-
-    **Phase B (chaos)** replays a :class:`~repro.faults.FaultPlan`
-    against a pool-backed service: every pool attempt of two targeted
-    idempotency keys is killed, driving retry/backoff, opening the
-    circuit breaker (manual clock — deterministic), serving degraded
-    in-thread answers while open, then half-opening and closing on a
-    probe.  The same identity invariant is asserted throughout.
-
-    ``--json BENCH_serve.json`` writes the payload that
-    ``scripts/check_bench_regression.py --serve`` validates in CI
-    (structure + invariants, never absolute latency).
-    """
-    import os as _os
-    import random as _random
-    import threading as _threading
-
-    from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-    from repro.obs import validate_service_report
-    from repro.parallel import pool_stats, shutdown_pools
-    from repro.pattern import get_query
-    from repro.serve import (
-        ATTEMPT_STRIDE,
-        CircuitBreaker,
-        MatchRequest,
-        MatchService,
-        RetryPolicy,
-        TenantPolicy,
-        request_attempt_offset,
-        run_load,
-        summarize,
-    )
-    from repro.serve.request import ResponseStatus
-
-    if clients < 1:
-        raise ValueError("clients must be >= 1")
-    qnames = ["q1", "q2", "q3"]
-    graph_v1 = load_dataset(dataset, scale=scale)
-    graph_v2 = load_dataset(update_dataset, scale=scale)
-
-    # golden exact counts per (graph version, query) — the identity oracle
-    golden: dict[tuple[int, str], int] = {}
-    for version, g in ((1, graph_v1), (2, graph_v2)):
-        eng = STMatchEngine(g, EngineConfig())
-        for qn in qnames:
-            res = eng.run(get_query(qn))
-            assert res.status == "ok", f"golden run failed: {res.detail}"
-            golden[(version, qn)] = res.matches
-
-    saved_env = {k: _os.environ.pop(k, None)
-                 for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
-    try:
-        # ---- Phase A: seeded closed-loop load, mid-run graph update ----
-        svc = MatchService(
-            {dataset: graph_v1}, EngineConfig(),
-            queue_depth=max(2, clients // 2),
-            pressure_threshold=max(2, clients // 4),
-            tenants={"metered": TenantPolicy(max_concurrency=1)},
-        )
-        rng = _random.Random(seed)
-        requests: list[MatchRequest] = []
-        req_query: list[str] = []
-        for i in range(num_requests):
-            qn = rng.choice(qnames)
-            kwargs: dict = {}
-            draw = rng.random()
-            if draw < 0.25:
-                # an idempotency key names one logical request, so it
-                # must pin the query it was first used with
-                kwargs["idempotency_key"] = f"key-{qn}-{rng.randrange(2)}"
-            elif draw < 0.40:
-                kwargs["budget"] = 50
-            elif draw < 0.50:
-                kwargs["tenant"] = "metered"
-            requests.append(MatchRequest(graph=dataset, query=get_query(qn),
-                                         **kwargs))
-            req_query.append(qn)
-
-        updated = _threading.Event()
-        landed = [0]
-        landed_lock = _threading.Lock()
-
-        def on_response(pos: int, resp: object) -> None:
-            with landed_lock:
-                landed[0] += 1
-                trigger = landed[0] == num_requests // 2
-            if trigger and not updated.is_set():
-                updated.set()
-                svc.update_graph(dataset, graph_v2)
-
-        responses, wall_s = run_load(svc, requests, clients,
-                                     on_response=on_response)
-        load = summarize(responses, wall_s, clients)
-
-        identity_ok = True
-        accounting_ok = True
-        for resp, qn in zip(responses, req_query):
-            if resp.countable and resp.matches != golden[(resp.graph_version, qn)]:
-                identity_ok = False
-            if (resp.degraded or resp.status != ResponseStatus.OK) and not resp.detail:
-                accounting_ok = False
-            if resp.status != ResponseStatus.OK and resp.matches != 0:
-                accounting_ok = False
-        cache_stats = svc.stats()["caches"]["results"]
-
-        # ---- Phase B: chaos under load (deterministic, one client) ----
-        clk = [0.0]
-        boom_keys = ("boom-0", "boom-1")
-        events = [
-            FaultEvent(FaultKind.WORKER_CRASH, device=0,
-                       attempt=request_attempt_offset(k, a))
-            for k in boom_keys for a in range(ATTEMPT_STRIDE)
-        ]
-        chaos_breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0,
-                                       clock=lambda: clk[0])
-        chaos_svc = MatchService(
-            {dataset: graph_v1},
-            EngineConfig(executor="process", num_workers=2,
-                         worker_timeout_s=60.0),
-            breaker=chaos_breaker,
-            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.0,
-                              max_backoff_s=0.0),
-            fault_plan=FaultPlan(events=tuple(events), seed=seed),
-            seed=seed,
-        )
-        chaos_responses = []
-        # boom-0: both pool attempts killed -> breaker opens -> degraded
-        chaos_responses.append(("q1", chaos_svc.match(MatchRequest(
-            graph=dataset, query=get_query("q1"), idempotency_key="boom-0"))))
-        # boom-1 + a clean query while OPEN: served in-thread, degraded
-        chaos_responses.append(("q2", chaos_svc.match(MatchRequest(
-            graph=dataset, query=get_query("q2"), idempotency_key="boom-1"))))
-        chaos_responses.append(("q3", chaos_svc.match(MatchRequest(
-            graph=dataset, query=get_query("q3")))))
-        # cooldown elapses (manual clock) -> HALF_OPEN -> probe closes it
-        clk[0] = 11.0
-        chaos_responses.append(("q1", chaos_svc.match(MatchRequest(
-            graph=dataset, query=get_query("q1"), budget=25))))
-        breaker_stats = chaos_breaker.stats()
-        chaos_countable = 0
-        chaos_degraded = 0
-        for qn, resp in chaos_responses:
-            if resp.countable:
-                chaos_countable += 1
-                if resp.matches != golden[(1, qn)]:
-                    identity_ok = False
-            if resp.degraded:
-                chaos_degraded += 1
-                if not resp.detail:
-                    accounting_ok = False
-        chaos_identity_ok = identity_ok
-        pool = pool_stats()
-    finally:
-        shutdown_pools()
-        for k, v in saved_env.items():
-            if v is not None:
-                _os.environ[k] = v
-
-    breaker_opened = breaker_stats["opens"] >= 1
-    closed_again = breaker_stats["closes"] >= 1
-
-    t = TextTable(
-        title=(f"Match service bench — {dataset}@{scale!r}, {clients} "
-               f"clients, {num_requests} requests, seed {seed}"),
-        columns=["phase", "requests", "ok", "shed", "degraded", "p50 ms",
-                 "p99 ms", "rps", "identity"],
-    )
-    t.add_row("load", load["counts"]["total"], load["counts"]["ok"],
-              load["counts"]["shed"], load["counts"]["degraded"],
-              f"{load['latency_ms']['p50']:.2f}",
-              f"{load['latency_ms']['p99']:.2f}",
-              f"{load['throughput_rps']:.1f}",
-              "exact" if identity_ok else "BROKEN")
-    t.add_row("chaos", len(chaos_responses),
-              sum(1 for _, r in chaos_responses
-                  if r.status == ResponseStatus.OK),
-              0, chaos_degraded, "-", "-", "-",
-              "exact" if chaos_identity_ok else "BROKEN")
-    t.add_note(f"graph updated to {update_dataset} mid-run at response "
-               f"{num_requests // 2}; every countable response matched the "
-               "golden count for the version it names")
-    t.add_note("breaker: " + " -> ".join(
-        [tr["from"] + ">" + tr["to"] for tr in breaker_stats["transitions"]]
-        or ["(no transitions)"]))
-    if not breaker_opened or not closed_again:
-        raise AssertionError(
-            "chaos phase failed to exercise the breaker lifecycle "
-            f"(opens={breaker_stats['opens']}, "
-            f"closes={breaker_stats['closes']})")
-    if not identity_ok:
-        raise AssertionError(
-            "serve bench identity broken: a countable response disagreed "
-            "with the golden count for its graph version")
-    if not accounting_ok:
-        raise AssertionError(
-            "serve bench accounting broken: a degraded/shed response was "
-            "not explicitly marked")
-
-    data = {
-        "schema_version": 1,
-        "experiment": "serve",
-        "dataset": dataset,
-        "update_dataset": update_dataset,
-        "scale": scale,
-        "seed": seed,
-        "clients": clients,
-        "requests": load["counts"],
-        "latency_ms": load["latency_ms"],
-        "wall_s": load["wall_s"],
-        "throughput_rps": load["throughput_rps"],
-        "shed_rate": load["shed_rate"],
-        "breaker": breaker_stats,
-        "cache": cache_stats,
-        "pool": pool,
-        "identity_ok": identity_ok,
-        "accounting_ok": accounting_ok,
-        "chaos": {
-            "requests": len(chaos_responses),
-            "countable": chaos_countable,
-            "degraded": chaos_degraded,
-            "identity_ok": chaos_identity_ok,
-            "breaker_opened": breaker_opened,
-        },
-    }
-    validate_service_report(data)
-    return ExperimentResult(experiment="serve", rendered=t.render(), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Batch-dynamic — incremental delta counts vs full recount (repro.dynamic)
-# ---------------------------------------------------------------------------
-
-#: synthetic graph for the dynamic A/B: dense enough that a full
-#: recount dwarfs a handful of anchored launches
-DYNAMIC_GRAPH: tuple[str, int, int, float, int] = ("plc_dyn", 72, 4, 0.3, 23)
-
-DYNAMIC_QUERIES: tuple[str, ...] = ("q1", "q4", "q9")
-
-#: edit-batch sizes swept per query (edges touched, split half
-#: deletes / half inserts); the small-batch gate covers sizes <= 4
-DYNAMIC_BATCH_SIZES: tuple[int, ...] = (1, 4, 8)
-
-DYNAMIC_SMALL_BATCH_MAX = 4
-
-
-def dynamic_bench(
-    queries: list[str] | None = None,
-    batch_sizes: tuple[int, ...] = DYNAMIC_BATCH_SIZES,
-    repeats: int = 3,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Wall-clock A/B of incremental counting vs full recount.
-
-    For every (query, batch size) cell a seeded edit batch is applied
-    two ways to the same base graph: ``repro.dynamic.count_delta``
-    (anchored launches at each changed edge, best of ``repeats``) and
-    the mutation-oblivious alternative — compact the overlay into a
-    fresh CSR and recount from scratch.  Every cell asserts the
-    three-way identity ``base + delta.net == recount``
-    (``identical_counts``); cells with ``batch_size <=
-    DYNAMIC_SMALL_BATCH_MAX`` feed ``geomean_speedup_small_batch``,
-    the ``scripts/check_bench_regression.py --dynamic`` CI gate.  The
-    ``data`` dict is the BENCH_dynamic.json payload.
-    """
-    import time as _time
-
-    import numpy as _np
-
-    from repro.dynamic import EditBatch, OverlayGraph, count_delta
-    from repro.graph.generators import powerlaw_cluster
-    from repro.pattern import QUERIES
-
-    qnames = list(queries) if queries else list(DYNAMIC_QUERIES)
-    name, n, m, p_tri, gseed = DYNAMIC_GRAPH
-    graph = powerlaw_cluster(n, m=m, p_triangle=p_tri, seed=gseed, name=name)
-    t = TextTable(
-        title=f"Batch-dynamic wall clock (graph={name}, repeats={repeats})",
-        columns=["query", "batch", "base", "net", "delta s", "recount s",
-                 "speedup", "identical"],
-    )
-    rows: list[dict] = []
-
-    def seeded_batch(batch_size: int, cell_seed: int) -> EditBatch:
-        rng = _np.random.default_rng(cell_seed)
-        nd = max(1, batch_size // 2)
-        ni = batch_size - nd
-        existing = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
-        picks = rng.choice(len(existing), nd, replace=False)
-        deletes = [existing[int(i)] for i in sorted(int(i) for i in picks)]
-        inserts: list[tuple[int, int]] = []
-        present = set(existing)
-        while len(inserts) < ni:
-            u, v = sorted(int(x) for x in rng.integers(0, n, 2))
-            if u != v and (u, v) not in present and (u, v) not in inserts:
-                inserts.append((u, v))
-        return EditBatch.from_lists(inserts=inserts, deletes=deletes)
-
-    for qi, qn in enumerate(qnames):
-        query = QUERIES[qn]
-        base = STMatchEngine(graph).count(query)
-        for batch_size in batch_sizes:
-            batch = seeded_batch(batch_size, 1000 * seed + 100 * qi + batch_size)
-            # incremental arm: anchored launches only (the overlay IS
-            # the post-batch state, no compaction required to answer)
-            best_inc = float("inf")
-            delta = None
-            for _ in range(max(repeats, 1)):
-                t0 = _time.perf_counter()
-                delta, _mutated = count_delta(graph, query, batch)
-                best_inc = min(best_inc, _time.perf_counter() - t0)
-            # recount arm: what a mutation-oblivious service pays —
-            # materialize the mutated graph and count from scratch
-            best_rec = float("inf")
-            recount = None
-            for _ in range(max(repeats, 1)):
-                t0 = _time.perf_counter()
-                compacted = OverlayGraph.from_edits(graph, batch).compact()
-                recount = STMatchEngine(compacted).count(query)
-                best_rec = min(best_rec, _time.perf_counter() - t0)
-            identical = base + delta.net == recount
-            speedup = best_rec / best_inc if best_inc else float("inf")
-            row = {
-                "key": f"{name}/{qn}",
-                "query": qn,
-                "batch_size": batch_size,
-                "num_inserts": delta.num_inserts,
-                "num_deletes": delta.num_deletes,
-                "base": base,
-                "net": delta.net,
-                "recount": recount,
-                "anchor_runs": delta.anchor_runs,
-                "wall_s_incremental": round(best_inc, 5),
-                "wall_s_recount": round(best_rec, 5),
-                "speedup": round(speedup, 3),
-                "identical_counts": identical,
-            }
-            rows.append(row)
-            t.add_row(qn, batch_size, base, f"{delta.net:+d}",
-                      f"{best_inc:.3f}", f"{best_rec:.3f}",
-                      f"{speedup:.2f}×", "yes" if identical else "NO")
-
-    speedups = [r["speedup"] for r in rows]
-    small = [r["speedup"] for r in rows
-             if r["batch_size"] <= DYNAMIC_SMALL_BATCH_MAX]
-    gm = geomean(speedups) if speedups else float("nan")
-    gm_small = geomean(small) if small else float("nan")
-    t.add_note(f"geomean speedup {gm:.2f}× (small batches <= "
-               f"{DYNAMIC_SMALL_BATCH_MAX} edits: {gm_small:.2f}×) — "
-               "identical asserts base + delta.net == full recount; "
-               "small-batch rows feed the CI gate")
-    data = {
-        "experiment": "dynamic",
-        "graph": {"name": name, "num_vertices": n, "m": m,
-                  "p_triangle": p_tri, "seed": gseed},
-        "repeats": repeats,
-        "seed": seed,
-        "small_batch_max": DYNAMIC_SMALL_BATCH_MAX,
-        "workloads": rows,
-        "geomean_speedup": round(gm, 3),
-        "geomean_speedup_small_batch": round(gm_small, 3),
-    }
-    return ExperimentResult(experiment="dynamic", rendered=t.render(), data=data)
-
-
-# ---------------------------------------------------------------------------
-# Scale — out-of-core RSS A/B + range-partitioned shard scaling
-# ---------------------------------------------------------------------------
-
-#: synthetic out-of-core cell: a locality-friendly graph (edges connect
-#: nearby vertex ids) so a contiguous shard's working set is a contiguous
-#: page range — the access pattern partitioned out-of-core execution is
-#: designed for.  ~60 MB of CSR arrays at the defaults.
-SCALE_SYNTH_VERTICES = 1 << 20
-SCALE_SYNTH_EDGES = 8 << 20
-SCALE_SYNTH_SEED = 1000
-SCALE_SHARD_COUNTS: tuple[int, ...] = (1, 2, 4)
-
-#: the RSS probe child: loads the store under one backend, builds a
-#: 1/32 shard replica and matches a root slice.  Identical work in both
-#: modes — only the residency of the base arrays differs.
-_SCALE_RSS_CHILD = r"""
-import json, resource, sys
-import numpy as np
-from repro.core.config import EngineConfig
-from repro.core.engine import STMatchEngine
-from repro.pattern import get_query
-from repro.scale import load_csr_store, PartitionedGraph
-store, mode = sys.argv[1], sys.argv[2]
-
-def hwm_kb():
-    # VmHWM is a property of this process's own address space (reset on
-    # exec), unlike ru_maxrss which Linux inherits across fork+exec from
-    # the bench driver -- a fat parent would mask every delta as 0.
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-rss0 = hwm_kb()
-g = load_csr_store(store, mmap=(mode == "memmap"))
-if mode == "memory":
-    # materialize: what a box without the memmap backend must hold
-    g = type(g).wrap_validated(
-        np.ascontiguousarray(g.indptr), np.ascontiguousarray(g.indices),
-        labels=None, directed=g.directed, name=g.name)
-n = g.num_vertices
-shard = PartitionedGraph.replicate(g, 0, n // 32)
-res = STMatchEngine(shard, EngineConfig(max_results=200_000)).run(
-    get_query("q1"), root_vertices=(0, 2048))
-rss1 = hwm_kb()
-print(json.dumps({
-    "rss_baseline_kb": int(rss0), "rss_peak_kb": int(rss1),
-    "matches": int(res.matches), "cycles": float(res.cycles),
-}))
-"""
-
-
-def _scale_synth_source(num_vertices: int, num_edges: int, seed: int):
-    """Re-iterable chunked edge source (never a full edge list)."""
-    import numpy as _np
-
-    chunk = 1 << 20
-
-    def gen():
-        remaining = num_edges
-        i = 0
-        while remaining > 0:
-            k = min(chunk, remaining)
-            rng = _np.random.default_rng(seed + i)
-            u = rng.integers(0, num_vertices - 1, size=k, dtype=_np.int64)
-            d = rng.integers(1, 65, size=k, dtype=_np.int64)
-            yield _np.stack(
-                [u, _np.minimum(u + d, num_vertices - 1)], axis=1)
-            remaining -= k
-            i += 1
-
-    return gen
-
-
-def scale_bench(
-    dataset: str = "wiki_vote",
-    query: str = "q1",
-    scale: str = "small",
-    shard_counts: tuple[int, ...] = SCALE_SHARD_COUNTS,
-    synth_vertices: int = SCALE_SYNTH_VERTICES,
-    synth_edges: int = SCALE_SYNTH_EDGES,
-) -> ExperimentResult:
-    """Out-of-core + partitioned execution A/B (BENCH_scale.json).
-
-    **Part A — RSS**: a synthetic locality-friendly graph is ingested
-    chunk-by-chunk into an on-disk CSR store (the full edge list never
-    exists in memory), then the same shard workload runs in two child
-    processes: one materializes the arrays on the heap, one memory-maps
-    them.  Each child reports its own memory high-water mark
-    (``VmHWM`` from ``/proc/self/status``, which unlike ``ru_maxrss``
-    is not inherited across fork+exec) before and after; the
-    gate requires the memmap peak-RSS delta to stay at or below half of
-    the materialized delta, with byte-identical matches and simulated
-    cycles between the two.
-
-    **Part B — shard scaling**: one uncapped workload runs range-
-    partitioned (``partition_mode="range"``) on the process executor at
-    each shard count, asserting all counts equal the serial whole-graph
-    count.  The 4-shard speedup over 1 shard feeds the CI gate with the
-    same honesty clause as the parallel bench: the floor is scaled by
-    ``min(4, cpu_count) / 4``, so a single-core recording host is held
-    to what it could physically deliver.
-    """
-    import json as _json
-    import os as _os
-    import shutil as _shutil
-    import subprocess as _subprocess
-    import sys as _sys
-    import tempfile as _tempfile
-    import time as _time
-    from pathlib import Path as _Path
-
-    import repro as _repro
-    from repro.core.multi_gpu import run_multi_gpu
-    from repro.parallel import default_num_workers, shutdown_pools
-    from repro.pattern import get_query
-    from repro.scale import ingest_edge_chunks
-
-    cpus = default_num_workers()
-    t = TextTable(
-        title=(f"Scale tier — out-of-core RSS + range partitioning "
-               f"({cpus} usable CPU(s))"),
-        columns=["cell", "mode", "matches", "peak RSS", "wall s", "note"],
-    )
-
-    # -- Part A: out-of-core RSS A/B ------------------------------------
-    store_dir = _tempfile.mkdtemp(prefix="repro-scale-bench-")
-    env = dict(_os.environ)
-    src_root = str(_Path(_repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src_root + _os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_GRAPH_BACKEND", None)
-    rss: dict[str, dict] = {}
-    try:
-        t0 = _time.perf_counter()
-        g = ingest_edge_chunks(
-            _scale_synth_source(synth_vertices, synth_edges,
-                                SCALE_SYNTH_SEED),
-            synth_vertices, store_dir, name="synth-local")
-        ingest_s = _time.perf_counter() - t0
-        store_bytes = int(g.indptr.nbytes + g.indices.nbytes)
-        for mode in ("memory", "memmap"):
-            t0 = _time.perf_counter()
-            out = _subprocess.run(
-                [_sys.executable, "-c", _SCALE_RSS_CHILD, store_dir, mode],
-                capture_output=True, text=True, env=env, check=True)
-            r = _json.loads(out.stdout)
-            r["rss_delta_kb"] = r["rss_peak_kb"] - r["rss_baseline_kb"]
-            r["wall_s"] = round(_time.perf_counter() - t0, 3)
-            rss[mode] = r
-            t.add_row("rss-probe", mode, r["matches"],
-                      f"{r['rss_delta_kb'] // 1024} MB", f"{r['wall_s']:.1f}",
-                      f"+{r['rss_delta_kb']} KB over baseline")
-    finally:
-        _shutil.rmtree(store_dir, ignore_errors=True)
-    rss_ratio = rss["memmap"]["rss_delta_kb"] / max(
-        rss["memory"]["rss_delta_kb"], 1)
-    rss_identical_matches = rss["memmap"]["matches"] == rss["memory"]["matches"]
-    rss_identical_cycles = rss["memmap"]["cycles"] == rss["memory"]["cycles"]
-    t.add_note(f"ingest {ingest_s:.1f}s for {store_bytes >> 20} MB of CSR "
-               f"arrays; memmap peak-RSS delta is "
-               f"{rss_ratio:.2f}x the materialized delta "
-               "(gate: <= 0.5x, identical matches AND cycles)")
-
-    # -- Part B: range-partitioned shard scaling ------------------------
-    w = make_workload(dataset, query, scale=scale, budget=None)
-    key = f"{dataset}/{query}"
-    saved_env = {k: _os.environ.pop(k, None)
-                 for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS",
-                           "REPRO_GRAPH_BACKEND")}
-    points = []
-    try:
-        serial = STMatchEngine(w.graph, EngineConfig()).run(w.query)
-        for k in shard_counts:
-            cfg = EngineConfig(partition_mode="range", executor="process",
-                               num_workers=max(k, 1))
-            # warm the pool + shared-memory export (untimed, tiny run)
-            run_multi_gpu(w.graph, w.query, num_devices=k,
-                          config=cfg.with_(max_results=1000))
-            t0 = _time.perf_counter()
-            res = run_multi_gpu(w.graph, w.query, num_devices=k, config=cfg)
-            wall = _time.perf_counter() - t0
-            identical = res.matches == serial.matches and res.status == "ok"
-            points.append({
-                "shards": k,
-                "matches": res.matches,
-                "wall_s": round(wall, 4),
-                "identical_matches": identical,
-            })
-            t.add_row(key, f"{k} shard(s)", res.matches, "-",
-                      f"{wall:.2f}", "identical" if identical else "NO")
-    finally:
-        for kk, v in saved_env.items():
-            if v is not None:
-                _os.environ[kk] = v
-        shutdown_pools()
-    wall1 = next(p["wall_s"] for p in points if p["shards"] == 1)
-    wall4 = next((p["wall_s"] for p in points if p["shards"] == 4), None)
-    speedup4 = round(wall1 / wall4, 3) if wall4 else None
-    attainable = min(4, cpus)
-    t.add_note(f"4-shard speedup {speedup4}x (physical bound on this "
-               f"host: {attainable}x; the gate scales its 2.0x floor by "
-               "min(4, cpu_count)/4)")
-
-    data = {
-        "experiment": "scale",
-        "cpu_count": cpus,
-        "rss": {
-            "synth_vertices": synth_vertices,
-            "synth_edges": synth_edges,
-            "store_bytes": store_bytes,
-            "ingest_s": round(ingest_s, 2),
-            "memory": rss["memory"],
-            "memmap": rss["memmap"],
-            "ratio": round(rss_ratio, 4),
-            "identical_matches": rss_identical_matches,
-            "identical_cycles": rss_identical_cycles,
-        },
-        "partition": {
-            "key": key,
-            "scale": scale,
-            "serial_matches": serial.matches,
-            "shard_counts": list(shard_counts),
-            "points": points,
-            "speedup_at_4": speedup4,
-            "identical_matches": all(p["identical_matches"]
-                                     for p in points),
-        },
-    }
-    return ExperimentResult(experiment="scale", rendered=t.render(),
-                            data=data)

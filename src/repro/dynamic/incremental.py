@@ -79,7 +79,7 @@ _OrbitAnchor = tuple[MatchingPlan, int, tuple[int | None, int | None]]
 @dataclass(frozen=True)
 class CountDelta:
     """Result of one incremental batch: the exact count change plus
-    the work accounting that the bench gate compares against recounts."""
+    the work accounting of the anchored launches that produced it."""
 
     added: int  #: unique matches created by the batch
     removed: int  #: unique matches destroyed by the batch

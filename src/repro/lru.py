@@ -7,7 +7,7 @@ use it without import cycles: the per-graph plan cache
 (``repro.dynamic.incremental``) and the serve result cache
 (``repro.serve.cache``) share one eviction policy.  The
 hit/miss/eviction counters feed ``repro.obs`` reports (the ``caches``
-section) so cache efficacy shows up in ``python -m repro.bench profile``.
+section), so cache efficacy shows up in every observed run's report.
 """
 
 from __future__ import annotations

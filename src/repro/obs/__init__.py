@@ -17,9 +17,8 @@ The layer's contract (docs/OBSERVABILITY.md) is **zero overhead**:
   (pinned by ``tests/test_obs_zero_overhead.py``).
 
 Exporters (:mod:`repro.obs.export`) turn a collector's event stream
-into JSONL traces and Chrome ``trace_event`` files; ``python -m
-repro.bench profile`` renders the Fig. 12-style per-optimization
-breakdown from the same reports.
+into JSONL traces and Chrome ``trace_event`` files.  Host wall-clock
+per layer is measured outside the program by ``benchmarks/perf``.
 """
 
 from .collector import LevelObs, TraceCollector, TraceEvent, WarpObs
@@ -28,9 +27,7 @@ from .report import (
     SCHEMA_VERSION,
     aggregate_reports,
     build_report,
-    validate_profile,
     validate_report,
-    validate_service_report,
 )
 
 __all__ = [
@@ -41,9 +38,7 @@ __all__ = [
     "WarpObs",
     "aggregate_reports",
     "build_report",
-    "validate_profile",
     "validate_report",
-    "validate_service_report",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -3,10 +3,9 @@
 A *report* is a plain JSON-ready dict (wire format, not an object
 graph) so it can be attached to results, exported, and validated
 against the schema without importing the engine.  ``SCHEMA_VERSION``
-is bumped on any incompatible change; :func:`validate_report` and
-:func:`validate_profile` reject wrong versions and malformed payloads
-with precise error messages (they are the CI gate for the checked-in
-``BENCH_profile.json``).
+is bumped on any incompatible change; :func:`validate_report` rejects
+wrong versions and malformed payloads with path-qualified error
+messages.
 
 Report kinds:
 
@@ -25,8 +24,6 @@ __all__ = [
     "build_report",
     "aggregate_reports",
     "validate_report",
-    "validate_profile",
-    "validate_service_report",
 ]
 
 SCHEMA_VERSION = 1
@@ -274,143 +271,3 @@ def validate_report(report: dict[str, Any], path: str = "report") -> None:
             validate_report(child, f"{path}.children[{i}]")
     else:
         _fail(f"{path}.kind", f"unknown report kind {kind!r}")
-
-
-#: variant names the profile payload must carry, in breakdown order
-PROFILE_VARIANTS = ("baseline", "+codemotion", "+steal", "+unroll")
-
-
-def validate_profile(payload: dict[str, Any]) -> None:
-    """Validate a ``BENCH_profile.json`` payload (the profile CLI gate)."""
-    path = "profile"
-    version = _need(payload, "schema_version", int, path)
-    if version != SCHEMA_VERSION:
-        _fail(f"{path}.schema_version",
-              f"expected {SCHEMA_VERSION}, got {version}")
-    if _need(payload, "experiment", str, path) != "profile":
-        _fail(f"{path}.experiment", "expected 'profile'")
-    _need(payload, "dataset", str, path)
-    _need(payload, "scale", str, path)
-    queries = _need(payload, "queries", dict, path)
-    if not queries:
-        _fail(f"{path}.queries", "empty query map")
-    for qname, q in queries.items():
-        qpath = f"{path}.queries[{qname}]"
-        if not isinstance(q, dict):
-            _fail(qpath, "expected dict")
-        variants = _need(q, "variants", dict, qpath)
-        for vname in PROFILE_VARIANTS:
-            v = _need(variants, vname, dict, f"{qpath}.variants")
-            vpath = f"{qpath}.variants[{vname}]"
-            _need(v, "cycles", (int, float), vpath)
-            _need(v, "sim_ms", (int, float), vpath)
-            _need(v, "matches", int, vpath)
-            _need(v, "status", str, vpath)
-        fast = _need(q, "fastpath", dict, qpath)
-        fpath = f"{qpath}.fastpath"
-        _need(fast, "wall_s_reference", (int, float), fpath)
-        _need(fast, "wall_s_fastpath", (int, float), fpath)
-        _need(fast, "speedup", (int, float), fpath)
-        if _need(fast, "identical_cycles", bool, fpath) is not True:
-            _fail(f"{fpath}.identical_cycles",
-                  "fastpath changed the simulated cycles")
-        if _need(fast, "identical_matches", bool, fpath) is not True:
-            _fail(f"{fpath}.identical_matches",
-                  "fastpath changed the match count")
-        _need(q, "speedup_full_vs_baseline", (int, float), qpath)
-        warps = _need(q, "warps", list, qpath)
-        if not warps:
-            _fail(f"{qpath}.warps", "empty per-warp stats")
-        for i, row in enumerate(warps):
-            wpath = f"{qpath}.warps[{i}]"
-            if not isinstance(row, dict):
-                _fail(wpath, "expected dict")
-            for k in ("block", "warp"):
-                _need(row, k, int, wpath)
-            _need(row, "lane_utilization", (int, float), wpath)
-            _need(row, "steals", dict, wpath)
-        _need(q, "steals", dict, qpath)
-        _need(q, "levels", list, qpath)
-
-
-#: request-accounting keys every service payload must break down
-SERVICE_COUNT_KEYS = (
-    "total", "ok", "exact", "cached", "replayed", "degraded",
-    "shed", "rejected_tenant", "deadline_exceeded", "failed",
-)
-
-#: latency summary keys (milliseconds of host wall-clock)
-SERVICE_LATENCY_KEYS = ("p50", "p99", "mean", "max")
-
-
-def validate_service_report(payload: dict[str, Any]) -> None:
-    """Validate a ``BENCH_serve.json`` payload (the serve CLI gate).
-
-    Structural checks plus the invariants a load run must never lose:
-    the accounting adds up, p50 ≤ p99, every chaos-phase countable
-    response matched its golden count (``identity_ok``), and degraded
-    or shed responses were always explicitly marked
-    (``accounting_ok``).  Absolute latency and throughput are *not*
-    checked here — they are machine-dependent; the regression gate
-    checks only their presence and sanity.
-    """
-    path = "serve"
-    version = _need(payload, "schema_version", int, path)
-    if version != SCHEMA_VERSION:
-        _fail(f"{path}.schema_version",
-              f"expected {SCHEMA_VERSION}, got {version}")
-    if _need(payload, "experiment", str, path) != "serve":
-        _fail(f"{path}.experiment", "expected 'serve'")
-    _need(payload, "seed", int, path)
-    if _need(payload, "clients", int, path) < 1:
-        _fail(f"{path}.clients", "need at least one client")
-    requests = _need(payload, "requests", dict, path)
-    for k in SERVICE_COUNT_KEYS:
-        if _need(requests, k, int, f"{path}.requests") < 0:
-            _fail(f"{path}.requests.{k}", "negative count")
-    terminal = sum(requests[k] for k in
-                   ("ok", "shed", "rejected_tenant", "deadline_exceeded",
-                    "failed"))
-    if terminal != requests["total"]:
-        _fail(f"{path}.requests",
-              f"terminal statuses sum to {terminal}, total says "
-              f"{requests['total']} — responses were lost or double-counted")
-    latency = _need(payload, "latency_ms", dict, path)
-    for k in SERVICE_LATENCY_KEYS:
-        if _need(latency, k, (int, float), f"{path}.latency_ms") < 0:
-            _fail(f"{path}.latency_ms.{k}", "negative latency")
-    if latency["p50"] > latency["p99"]:
-        _fail(f"{path}.latency_ms", "p50 exceeds p99")
-    if _need(payload, "throughput_rps", (int, float), path) < 0:
-        _fail(f"{path}.throughput_rps", "negative throughput")
-    shed_rate = _need(payload, "shed_rate", (int, float), path)
-    if not 0.0 <= shed_rate <= 1.0:
-        _fail(f"{path}.shed_rate", f"{shed_rate} outside [0, 1]")
-    breaker = _need(payload, "breaker", dict, path)
-    transitions = _need(breaker, "transitions", list, f"{path}.breaker")
-    for i, t in enumerate(transitions):
-        tpath = f"{path}.breaker.transitions[{i}]"
-        if not isinstance(t, dict):
-            _fail(tpath, "expected dict")
-        _need(t, "from", str, tpath)
-        _need(t, "to", str, tpath)
-    cache = _need(payload, "cache", dict, path)
-    for k in ("hits", "misses", "evictions", "size", "capacity"):
-        _need(cache, k, int, f"{path}.cache")
-    _need(payload, "pool", dict, path)
-    if _need(payload, "identity_ok", bool, path) is not True:
-        _fail(f"{path}.identity_ok",
-              "a countable response disagreed with its golden count")
-    if _need(payload, "accounting_ok", bool, path) is not True:
-        _fail(f"{path}.accounting_ok",
-              "a degraded or shed response was not explicitly marked")
-    chaos = _need(payload, "chaos", dict, path)
-    cpath = f"{path}.chaos"
-    for k in ("requests", "countable", "degraded"):
-        if _need(chaos, k, int, cpath) < 0:
-            _fail(f"{cpath}.{k}", "negative count")
-    if _need(chaos, "identity_ok", bool, cpath) is not True:
-        _fail(f"{cpath}.identity_ok",
-              "a chaos-phase countable response disagreed with its "
-              "golden count")
-    _need(chaos, "breaker_opened", bool, cpath)

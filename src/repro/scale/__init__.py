@@ -30,8 +30,8 @@ axes that compose:
   ``run_distributed``.
 
 See ``docs/ARCHITECTURE.md`` §10 for the lifecycle and the
-ownership-filter proof sketch, and ``docs/PERFORMANCE.md`` for the
-RSS / scaling numbers (``python -m repro.bench scale``).
+ownership-filter proof sketch; ``benchmarks/perf``'s ``shard_fanout``
+workload measures partition build, replication and fan-out time.
 """
 
 from .backend import (

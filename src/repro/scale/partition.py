@@ -165,7 +165,7 @@ class PartitionedGraph(CSRGraph):
             np.zeros(1, dtype=np.int64),
         )
         # stay in int32: the transient unique/concat peak is charged
-        # against the shard's host RSS, which the scale bench measures
+        # against the shard's host RSS
         nbrs = np.unique(owned_vals)
         boundary = nbrs[(nbrs < lo) | (nbrs >= hi)].astype(np.int64)
         local_vertices = np.concatenate([boundary[boundary < lo], owned, boundary[boundary >= hi]])

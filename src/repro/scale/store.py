@@ -85,8 +85,8 @@ def load_csr_store(
     With ``mmap=True`` (the default, and the point) the arrays come
     back as read-only :class:`numpy.memmap` views — the multi-GB case
     loads lazily and untouched pages never fault in.  ``mmap=False``
-    materializes the arrays in RAM (the A/B baseline the scale bench
-    measures against).
+    materializes the arrays in RAM (the heap baseline
+    ``tests/test_scale_backend.py`` compares the mapped run against).
     """
     d = Path(directory)
     if not is_csr_store(d):

@@ -20,8 +20,8 @@ on top of the process execution backend:
 * :mod:`repro.serve.breaker` — the circuit breaker around the process
   pool (CLOSED / OPEN / HALF_OPEN with probes).
 * :mod:`repro.serve.cache` — the versioned exact-count result cache.
-* :mod:`repro.serve.loadgen` — the seeded closed-loop load generator
-  behind ``python -m repro.bench serve``.
+* :mod:`repro.serve.loadgen` — the closed-loop load generator the
+  ``benchmarks/perf`` serve workloads drive the service with.
 
 See docs/ROBUSTNESS.md §8 for the lifecycle diagram and the
 degradation-ladder contract.
@@ -29,7 +29,7 @@ degradation-ladder contract.
 
 from .breaker import BreakerState, CircuitBreaker
 from .cache import RESULT_CACHE_MAX, ResultCache
-from .loadgen import percentile, run_load, summarize
+from .loadgen import percentile, run_load
 from .request import (
     MatchRequest,
     MatchResponse,
@@ -62,5 +62,4 @@ __all__ = [
     "percentile",
     "request_attempt_offset",
     "run_load",
-    "summarize",
 ]

@@ -12,7 +12,7 @@ the first probe success and re-opening on a probe failure.
 
 The clock is injectable (``clock=`` a zero-arg float callable) so
 tests drive the cooldown deterministically; transitions are recorded
-(old state, new state, reason) for bench payloads and obs reports.
+(old state, new state, reason) for ``MatchService.stats()``.
 Thread-safe: request threads share one breaker.
 """
 
@@ -139,7 +139,7 @@ class CircuitBreaker:
     # -- telemetry ---------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """JSON-ready snapshot for bench payloads and obs reports."""
+        """JSON-ready snapshot for ``MatchService.stats()``."""
         with self._lock:
             self._maybe_half_open()
             return {

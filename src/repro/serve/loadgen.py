@@ -10,12 +10,10 @@ admission path is sized in.
 
 Determinism: the *set* of responses is fixed by (requests, clients,
 seed) — per-response provenance (cache vs engine) and shed decisions
-depend on thread interleaving by design, which is why the bench's
-identity assertions are about counts ("every countable response equals
-the golden count for its graph version"), never about which requests
-got shed.  ``summarize`` folds responses into the JSON-ready fragment
-the serve bench checks in (latency percentiles, throughput, shed rate,
-terminal-status accounting).
+depend on thread interleaving by design, which is why identity
+assertions over a load run are about counts ("every countable response
+equals the golden count for its graph version"), never about which
+requests got shed.
 """
 
 from __future__ import annotations
@@ -23,14 +21,14 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .request import MatchRequest, MatchResponse, ResponseStatus
+from .request import MatchRequest, MatchResponse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import MatchService
 
-__all__ = ["percentile", "run_load", "summarize"]
+__all__ = ["percentile", "run_load"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -101,48 +99,3 @@ def run_load(
     if len(final) != len(requests):  # pragma: no cover - defensive
         raise RuntimeError("load generator lost responses")
     return final, wall_s
-
-
-def summarize(
-    responses: Sequence[MatchResponse],
-    wall_s: float,
-    clients: int,
-) -> dict[str, Any]:
-    """Fold a load run into the JSON fragment of ``BENCH_serve.json``
-    (see :func:`repro.obs.report.validate_service_report`)."""
-    counts = {
-        "total": len(responses),
-        "ok": 0, "exact": 0, "cached": 0, "replayed": 0, "degraded": 0,
-        "shed": 0, "rejected_tenant": 0, "deadline_exceeded": 0, "failed": 0,
-    }
-    latencies: list[float] = []
-    for r in responses:
-        latencies.append(r.wall_ms)
-        if r.status == ResponseStatus.OK:
-            counts["ok"] += 1
-            counts["exact"] += int(r.exact)
-            counts["degraded"] += int(r.degraded)
-            counts["cached"] += int(r.served_from == "cache")
-            counts["replayed"] += int(r.served_from == "idempotency")
-        elif r.status == ResponseStatus.REJECTED_OVERLOAD:
-            counts["shed"] += 1
-        elif r.status == ResponseStatus.REJECTED_TENANT:
-            counts["rejected_tenant"] += 1
-        elif r.status == ResponseStatus.DEADLINE_EXCEEDED:
-            counts["deadline_exceeded"] += 1
-        else:
-            counts["failed"] += 1
-    total = counts["total"]
-    return {
-        "clients": clients,
-        "counts": counts,
-        "latency_ms": {
-            "p50": percentile(latencies, 50),
-            "p99": percentile(latencies, 99),
-            "mean": sum(latencies) / total if total else 0.0,
-            "max": max(latencies) if latencies else 0.0,
-        },
-        "wall_s": wall_s,
-        "throughput_rps": total / wall_s if wall_s > 0 else 0.0,
-        "shed_rate": counts["shed"] / total if total else 0.0,
-    }

@@ -31,9 +31,9 @@ remaining time propagates into the worker batch deadline
 (``worker_timeout_s``) on every attempt, and an expired deadline is an
 explicit ``DEADLINE_EXCEEDED``.  Chaos plans (:class:`FaultPlan`) are
 armed per request through :func:`request_attempt_offset`, so a seeded
-schedule targets specific requests deterministically — the
-chaos-under-load bench replays one against a live service and asserts
-every countable response equals the golden count.
+schedule targets specific requests deterministically —
+``tests/test_serve_chaos.py`` replays one against a live service and
+asserts every countable response equals the golden count.
 """
 
 from __future__ import annotations

@@ -1,15 +1,12 @@
-"""Report schema, exporters, aggregation, profile CLI, and reprs.
+"""Report schema, exporters, aggregation, and reprs.
 
 Everything that *consumes* observability data is pinned here:
 
-* ``validate_report`` / ``validate_profile`` reject malformed payloads
-  with a path-qualified ``ValueError`` (so CI failures say *where*);
+* ``validate_report`` rejects malformed reports with a path-qualified
+  ``ValueError`` (so CI failures say *where*);
 * the JSONL and Chrome ``trace_event`` exporters emit parseable files
   from a ``keep_events=True`` run;
 * ``aggregate_reports`` sums steal totals and embeds children;
-* ``python -m repro.bench profile`` produces a payload that validates
-  (the checked-in ``BENCH_profile.json`` is gated by the same
-  validator via ``scripts/check_bench_regression.py --profile``);
 * result ``__repr__``\\ s carry status/detail, so a failing pytest
   assertion names the failure instead of dumping counter soup.
 """
@@ -31,7 +28,6 @@ from repro.obs import (
     SCHEMA_VERSION,
     TraceCollector,
     aggregate_reports,
-    validate_profile,
     validate_report,
     write_chrome_trace,
     write_jsonl,
@@ -143,34 +139,6 @@ class TestAggregation:
         with pytest.raises(ValueError, match="kind"):
             aggregate_reports("galaxy", [res.report], status="ok",
                               matches=0, sim_ms=0.0)
-
-
-class TestProfileExperiment:
-    def test_profile_breakdown_payload_validates(self):
-        from repro.bench import experiments
-
-        result = experiments.profile_breakdown(queries=["q1"], budget=20_000)
-        payload = result.data
-        validate_profile(payload)  # also run internally; pin it here
-        q1 = payload["queries"]["q1"]
-        assert set(q1["variants"]) == set(
-            ("baseline", "+codemotion", "+steal", "+unroll")
-        )
-        assert q1["speedup_full_vs_baseline"] > 1.0
-        assert q1["fastpath"]["identical_cycles"] is True
-        assert "q1" in result.rendered
-
-    def test_checked_in_profile_validates(self):
-        # the repo ships the full q1–q13 payload; CI re-validates it via
-        # scripts/check_bench_regression.py --profile
-        from pathlib import Path
-
-        bench = Path(__file__).parent.parent / "BENCH_profile.json"
-        if not bench.exists():
-            pytest.skip("BENCH_profile.json not generated yet")
-        payload = json.loads(bench.read_text())
-        validate_profile(payload)
-        assert sorted(payload["queries"]) == sorted(f"q{i}" for i in range(1, 14))
 
 
 class TestResultReprs:

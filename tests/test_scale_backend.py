@@ -7,8 +7,8 @@ the full golden matrix.  The second is that the chunked ingest path —
 which never materializes the whole edge list — builds arrays byte-
 identical to :meth:`CSRGraph.from_edges`.  Both identities are pinned
 here, along with the on-disk store round-trip, backend resolution
-precedence, the adjacency-bitmap guards (and their B409 lint), and the
-streaming SNAP loader.
+precedence, shard residency over a mapped store, the adjacency-bitmap
+guards (and their B409 lint), and the streaming SNAP loader.
 """
 
 from __future__ import annotations
@@ -293,6 +293,44 @@ class TestBitmapGuards:
         cfg = EngineConfig(bitmap_threshold=2)
         rules = [d.rule for d in lint_budget(plan, cfg, graphs["dense"])]
         assert "B409" not in rules
+
+
+class TestShardResidency:
+    """A shard of a memory-mapped store reads the mapped base arrays in
+    place: no heap copy of the base, a smaller device charge, and the
+    same answer as the heap graph."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        # locality-friendly: every edge spans at most 8 ids, so a
+        # contiguous shard's 1-hop replica is a thin band of the base
+        rng = np.random.default_rng(1000)
+        n = 1024
+        u = rng.integers(0, n - 1, size=4 * n)
+        v = np.minimum(u + rng.integers(1, 9, size=u.size), n - 1)
+        d = tmp_path_factory.mktemp("band") / "store"
+        ingest_edge_chunks(np.stack([u, v], axis=1), n, d)
+        return d
+
+    def test_replica_keeps_the_store_memmaps(self, store):
+        g = load_csr_store(store, mmap=True)
+        shard = PartitionedGraph.replicate(g, 0, g.num_vertices // 4)
+        assert isinstance(g.indptr, np.memmap) and isinstance(g.indices, np.memmap)
+        assert shard.indptr is g.indptr
+        assert shard.indices is g.indices
+        assert shard.device_graph_bytes() < g.device_graph_bytes()
+
+    def test_root_slice_run_matches_heap(self, store):
+        runs = []
+        for mmap in (True, False):
+            g = load_csr_store(store, mmap=mmap)
+            shard = PartitionedGraph.replicate(g, 0, g.num_vertices // 4)
+            res = STMatchEngine(shard, EngineConfig()).run(
+                get_query("q1"), root_vertices=(0, 128))
+            assert is_memmap_backed(g) is mmap
+            runs.append((res.status, res.matches, res.cycles))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "ok" and runs[0][1] > 0
 
 
 class TestDeviceGraphBytes:

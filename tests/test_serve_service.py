@@ -3,12 +3,14 @@
 Serial-backend tests of the tentpole contracts: explicit admission
 control (never a silent drop), per-tenant limits, deadline handling,
 idempotent retries (exactly-once counting, X511), the degradation
-ladder, budget truncation marked non-exact, and versioned graph
-hosting.  Pool/chaos behavior lives in test_serve_chaos.py.
+ladder, budget truncation marked non-exact, versioned graph hosting,
+and response accounting under the closed-loop load generator.
+Pool/chaos behavior lives in test_serve_chaos.py.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -25,6 +27,7 @@ from repro.serve import (
     ResponseStatus,
     RetryPolicy,
     TenantPolicy,
+    run_load,
 )
 
 from tests import oracle
@@ -275,3 +278,72 @@ class TestGraphHosting:
         svc = make_service(graphs)
         with pytest.raises(KeyError):
             svc.update_graph("nope", graphs["dense"])
+
+
+class TestClosedLoopLoad:
+    """``run_load`` against a small queue, a metered tenant and a graph
+    swap mid-run: whatever gets shed or degraded, every response is
+    accounted for and every countable one is exact for its version."""
+
+    CLIENTS = 4
+    NUM_REQUESTS = 24
+
+    def seeded_requests(self):
+        rng = random.Random(0)
+        requests, qnames = [], []
+        for _ in range(self.NUM_REQUESTS):
+            qn = rng.choice(("q1", "q2"))
+            kwargs = {}
+            draw = rng.random()
+            if draw < 0.25:
+                # a key names one logical request, so it pins its query
+                kwargs["idempotency_key"] = f"key-{qn}-{rng.randrange(2)}"
+            elif draw < 0.40:
+                kwargs["budget"] = 50
+            elif draw < 0.50:
+                kwargs["tenant"] = "metered"
+            requests.append(MatchRequest(graph="sparse", query=QUERIES[qn],
+                                         **kwargs))
+            qnames.append(qn)
+        return requests, qnames
+
+    def test_accounting_under_load_and_graph_swap(self, graphs, golden):
+        svc = make_service(
+            graphs, queue_depth=2, pressure_threshold=2,
+            tenants={"metered": TenantPolicy(max_concurrency=1)})
+        requests, qnames = self.seeded_requests()
+        by_pos = {}
+        lock = threading.Lock()
+
+        def on_response(pos, resp):
+            with lock:
+                by_pos[pos] = resp
+                swap = len(by_pos) == self.NUM_REQUESTS // 2
+            if swap:
+                assert svc.update_graph("sparse", graphs["dense"]) == 2
+
+        responses, wall_s = run_load(svc, requests, self.CLIENTS,
+                                     on_response=on_response)
+        assert wall_s > 0
+        assert len(responses) == self.NUM_REQUESTS
+        # request order, not completion order
+        assert all(responses[i] is by_pos[i] for i in range(len(responses)))
+        assert [r.tenant for r in responses] == [q.tenant for q in requests]
+
+        graph_of_version = {1: "sparse", 2: "dense"}
+        assert any(r.countable for r in responses)
+        assert any(r.graph_version == 2 for r in responses)
+        for resp, qn in zip(responses, qnames):
+            if resp.countable:
+                assert resp.matches == golden[(graph_of_version[resp.graph_version], qn)]
+            if resp.status != ResponseStatus.OK:
+                assert resp.matches == 0 and resp.detail
+            if resp.degraded:
+                assert resp.detail
+
+    def test_raising_client_reraises(self, graphs):
+        svc = make_service(graphs)
+        requests = [MatchRequest(graph="sparse", query=QUERIES["q1"]),
+                    MatchRequest(graph="nope", query=QUERIES["q1"])]
+        with pytest.raises(KeyError):
+            run_load(svc, requests, 2)
