@@ -99,11 +99,11 @@ class EngineConfig:
     #   are byte-identical with observe on or off (property-tested by
     #   tests/test_obs_zero_overhead.py); off means zero hook calls.
     executor: str = "serial"
-    #   shard execution backend for the multi-shard drivers
-    #   (run_multi_gpu, run_distributed, STMatchEngine.run_partitioned):
-    #   "serial" loops in-process; "process" fans shards out onto a
-    #   persistent ProcessPoolExecutor over a shared-memory graph
-    #   (repro.parallel) — result-identical to serial by contract
+    #   where repro.parallel.run_shards runs the shards of the drivers
+    #   (run_multi_gpu, run_distributed, STMatchEngine.run_partitioned,
+    #   MatchService): "serial" in-process, "process" on a persistent
+    #   ProcessPoolExecutor over a shared-memory graph.  Both run the
+    #   same shard function, so results are identical
     #   (tests/test_parallel_identity.py).  The REPRO_EXECUTOR env var
     #   overrides at resolution time for CI matrices.
     num_workers: int | None = None

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
 from repro.pattern.query import QueryGraph
-from repro.virtgpu.device import VirtualDevice
 
 from .config import EngineConfig
 from .counters import RunStatus
@@ -155,10 +154,12 @@ def _profile_tasks(
     whether the aggregate count is still meaningful.
 
     Task profiling is the only real kernel work of a distributed run
-    (the event loop replays the profiled costs), so under
-    ``config.executor == "process"`` the tasks fan out onto the worker
-    pool of :mod:`repro.parallel` — per-task results are identical, the
-    loop stays deterministic.
+    (the event loop replays the profiled costs).  Each task is one
+    :class:`~repro.parallel.ShardSpec` run by
+    :func:`~repro.parallel.run_shards` — in-process under the serial
+    executor, on the worker pool under ``config.executor == "process"``
+    — so per-task results are identical and the loop stays
+    deterministic.
     """
     from .candidates import CandidateComputer
 
@@ -182,33 +183,16 @@ def _profile_tasks(
     from repro.parallel import ShardSpec, resolve_execution, run_shards
 
     executor, num_workers = resolve_execution(config)
-    if executor == "process":
-        specs = [
-            ShardSpec(index=i, device_id=i,
-                      root_range=None if ranges else (bounds[i], bounds[i + 1]),
-                      vertex_range=ranges[i] if ranges else None)
-            for i in range(num_tasks)
-        ]
-        task_results = run_shards(graph, plan, config, specs,
-                                  num_workers=num_workers,
-                                  timeout_s=config.worker_timeout_s)
-    elif ranges is not None:
-        from repro.scale.partition import PartitionedGraph
-
-        task_results = []
-        for i in range(num_tasks):
-            dev = VirtualDevice(config.device, device_id=i)
-            shard = PartitionedGraph.replicate(graph, *ranges[i])
-            task_results.append(
-                STMatchEngine(shard, config).run(
-                    plan, root_vertices=ranges[i], device=dev))
-    else:
-        engine = STMatchEngine(graph, config)
-        task_results = []
-        for i in range(num_tasks):
-            dev = VirtualDevice(config.device, device_id=i)
-            task_results.append(
-                engine.run(plan, root_range=(bounds[i], bounds[i + 1]), device=dev))
+    specs = [
+        ShardSpec(index=i, device_id=i,
+                  root_range=None if ranges else (bounds[i], bounds[i + 1]),
+                  vertex_range=ranges[i] if ranges else None)
+        for i in range(num_tasks)
+    ]
+    task_results = run_shards(
+        graph, plan, config, specs,
+        num_workers=num_workers if executor == "process" else 1,
+        timeout_s=config.worker_timeout_s)
     costs = [r.sim_ms for r in task_results]
     matches = [r.matches if r.countable else 0 for r in task_results]
     statuses = [r.status for r in task_results]

@@ -4,7 +4,7 @@ The paper runs STMatch on multiple GPUs "by duplicating the input graph
 and dividing the outermost loop iterations across GPUs"; each device
 runs its own kernel with its own two-level work stealing, and the job
 finishes when the slowest device does.  The same approach is simulated
-here with one :class:`VirtualDevice` per GPU.
+here with one :class:`~repro.virtgpu.device.VirtualDevice` per GPU.
 
 The root counter is sharded round-robin by chunk (device ``d`` serves
 every ``n``-th chunk), but because the split is static (no cross-device
@@ -15,9 +15,10 @@ Failure handling (``fault_plan``): each shard runs through the recovery
 ladder of :mod:`repro.faults.recovery` on its own device; shards whose
 device stays broken past the retry budget are *re-queued* onto the
 surviving devices (graph replication makes any survivor a valid host).
-A shared :class:`~repro.faults.recovery.RecoveryLedger` enforces X506 —
-every shard's matches are committed exactly once, so a recovered run
-reports exactly the fault-free count.
+Each shard checks X506 per attempt on its own ledger, and the run's
+:class:`~repro.faults.recovery.RecoveryLedger` absorbs every shard's
+final outcome — every shard's matches are committed exactly once, so
+a recovered run reports exactly the fault-free count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
 from repro.pattern.query import QueryGraph
-from repro.virtgpu.device import VirtualDevice
 
 from .config import EngineConfig
 from .counters import RunResult, RunStatus
@@ -151,12 +151,15 @@ def run_multi_gpu(
     result carries a non-countable ``status`` and a non-empty
     ``detail``.
 
-    With ``config.executor == "process"`` (or ``REPRO_EXECUTOR``) the
-    shards run on the persistent worker pool of :mod:`repro.parallel`
-    over a shared-memory copy of the graph — result-identical to the
-    serial loop; a worker that dies surfaces as a FAILED shard, one
-    that trips the batch deadline as a TIMEOUT shard, and both are
-    re-queued onto the survivors like any other failure.
+    Both rounds (every shard, then the re-queued ones) are one
+    :class:`~repro.parallel.ShardSpec` per shard handed to
+    :func:`~repro.parallel.run_shards`: in-process under the serial
+    executor, on the persistent worker pool over a shared-memory copy
+    of the graph under ``config.executor == "process"`` (or
+    ``REPRO_EXECUTOR``) — the same shard function either way.  A
+    worker that dies surfaces as a FAILED shard, one that trips the
+    batch deadline as a TIMEOUT shard, and both are re-queued onto the
+    survivors like any other failure.
 
     With ``config.partition_mode == "range"`` the paper's duplication
     model is replaced by the scale decomposition: an edge-balanced
@@ -172,12 +175,13 @@ def run_multi_gpu(
 
     ``protocol_log`` (duck-typed: an ``emit(kind, key=..., **data)``
     method, e.g. :class:`repro.analysis.races.ProtocolLog`) records
-    every shard dispatch / result / re-queue and pool teardown so the
-    happens-before checker can audit the coordinator's ordering (rules
-    X509/X510); in range mode it additionally records the partition
-    cover and per-shard ownership claims that rule X512 audits for
-    cross-partition double counting.  ``None`` records nothing and
-    costs nothing.
+    every shard dispatch / result / re-queue, ledger absorb and pool
+    teardown so the happens-before checker can audit the coordinator's
+    ordering (rules X509/X510); in range mode it additionally records
+    the partition cover and per-shard ownership claims that rule X512
+    audits for cross-partition double counting.  Apart from pool
+    teardowns the log is the same event for event under either
+    executor.  ``None`` records nothing and costs nothing.
     """
     if num_devices < 1:
         raise ValueError("need at least one device")
@@ -200,98 +204,54 @@ def run_multi_gpu(
         part.emit_cover(protocol_log, graph.num_vertices)
         ranges = [part.range_of(d) for d in range(num_devices)]
 
-    def shard_graph(d: int) -> CSRGraph:
-        if ranges is None:
-            return graph
-        from repro.scale.partition import PartitionedGraph
-
-        return PartitionedGraph.replicate(graph, *ranges[d])
-
-    def claim(d: int) -> None:
-        # root-ownership claim for shard d's range (audited by X512);
-        # re-claims on retry/re-queue carry the same key and range
-        if ranges is not None and protocol_log is not None:
-            lo, hi = ranges[d]
-            protocol_log.emit("root_claim", key=(d, num_devices), lo=lo, hi=hi,
-                              n=graph.num_vertices)
-
+    from repro.faults.recovery import RecoveryLedger
     from repro.parallel import ShardSpec, resolve_execution, run_shards
 
     executor, num_workers = resolve_execution(config)
-    use_pool = executor == "process"
+    if executor != "process":
+        num_workers = 1  # run_shards executes in-process
     faulted = fault_plan is not None and not fault_plan.empty
-    ledger = None
-    if faulted:
-        from repro.faults.recovery import RecoveryLedger, run_with_recovery
+    ledger = RecoveryLedger(log=protocol_log) if faulted else None
 
-        ledger = RecoveryLedger(log=protocol_log)
-
-    def note(kind: str, key: tuple, **data) -> None:
+    def note(kind: str, d: int, **data) -> None:
         if protocol_log is not None:
-            protocol_log.emit(kind, key=key, **data)
+            protocol_log.emit(kind, key=(d, num_devices), **data)
 
-    # round 1: every shard on its own device replica
-    results: list[RunResult] = []
-    timelines = [0.0] * num_devices
-    if use_pool:
-        specs = [
-            ShardSpec(index=d, device_id=d,
-                      root_partition=None if ranges else (d, num_devices),
-                      vertex_range=ranges[d] if ranges else None,
-                      recover=faulted,
-                      range_key=(d, num_devices) if faulted else None,
-                      max_retries=max_retries)
-            for d in range(num_devices)
-        ]
-        for d in range(num_devices):
-            claim(d)
-            note("shard_dispatch", (d, num_devices), device_id=d)
+    def shard(d: int, host: int, attempt_offset: int = 0) -> ShardSpec:
+        return ShardSpec(index=d, device_id=host,
+                         root_partition=None if ranges else (d, num_devices),
+                         vertex_range=ranges[d] if ranges else None,
+                         recover=faulted,
+                         range_key=(d, num_devices) if faulted else None,
+                         attempt_offset=attempt_offset,
+                         max_retries=max_retries)
+
+    def dispatch(specs: list[ShardSpec], requeue: bool = False) -> list[RunResult]:
+        for spec in specs:
+            if requeue:
+                note("shard_requeue", spec.index, device_id=spec.device_id)
+            if ranges is not None:
+                # root-ownership claim (audited by X512); a re-queue
+                # re-claims under the same key and range
+                lo, hi = ranges[spec.index]
+                note("root_claim", spec.index, lo=lo, hi=hi, n=graph.num_vertices)
+            note("shard_dispatch", spec.index, device_id=spec.device_id)
         results = run_shards(graph, plan, config, specs,
                              num_workers=num_workers, fault_plan=fault_plan,
                              timeout_s=config.worker_timeout_s,
                              protocol_log=protocol_log)
-        for d, res in enumerate(results):
-            note("shard_result", (d, num_devices), countable=res.countable,
+        for spec, res in zip(specs, results):
+            note("shard_result", spec.index, countable=res.countable,
                  status=str(res.status))
-        if faulted:
-            # mirror the workers' final per-shard outcomes into the
-            # shared ledger (workers ran their own X506 checks locally)
-            for d, res in enumerate(results):
-                ledger.absorb((d, num_devices), res)
-    elif not faulted:
-        for d in range(num_devices):
-            claim(d)
-            note("shard_dispatch", (d, num_devices), device_id=d)
-            dev = VirtualDevice(config.device, device_id=d)
-            if ranges is not None:
-                shard_engine = STMatchEngine(shard_graph(d), config)
-                results.append(shard_engine.run(plan, root_vertices=ranges[d],
-                                                device=dev))
-            else:
-                results.append(engine.run(plan, root_partition=(d, num_devices),
-                                          device=dev))
-            note("shard_result", (d, num_devices),
-                 countable=results[-1].countable,
-                 status=str(results[-1].status))
-    else:
-        for d in range(num_devices):
-            claim(d)
-            note("shard_dispatch", (d, num_devices), device_id=d)
-            results.append(run_with_recovery(
-                shard_graph(d), plan, config,
-                fault_plan=fault_plan,
-                device_id=d,
-                root_partition=None if ranges else (d, num_devices),
-                root_vertices=ranges[d] if ranges else None,
-                max_retries=max_retries,
-                ledger=ledger,
-                range_key=(d, num_devices),
-            ))
-            note("shard_result", (d, num_devices),
-                 countable=results[-1].countable,
-                 status=str(results[-1].status))
-    for d in range(num_devices):
-        timelines[d] += results[d].sim_ms
+            if ledger is not None:
+                # each shard checked X506 per attempt on its own ledger;
+                # the run's ledger records its final outcome
+                ledger.absorb(spec.range_key, res)
+        return results
+
+    # round 1: every shard on its own device replica
+    results = dispatch([shard(d, d) for d in range(num_devices)])
+    timelines = [res.sim_ms for res in results]
 
     # round 2: re-queue shards that never completed onto survivors.
     # Fault-free runs only retry pool-infrastructure losses (a dead or
@@ -299,65 +259,24 @@ def run_multi_gpu(
     # injector, and e.g. an OOM would deterministically repeat on an
     # identical replica, so those keep their honest status instead.
     if faulted:
-        lost = [d for d in range(num_devices) if not results[d].countable]
+        lost = [d for d, res in enumerate(results) if not res.countable]
     else:
-        lost = [d for d in range(num_devices)
-                if results[d].status in (RunStatus.FAILED, RunStatus.TIMEOUT)]
-    survivors = [d for d in range(num_devices) if results[d].countable]
-    num_requeued = 0
-    if lost and survivors:
-        rspecs = [
-            ShardSpec(index=d, device_id=survivors[i % len(survivors)],
-                      root_partition=None if ranges else (d, num_devices),
-                      vertex_range=ranges[d] if ranges else None,
-                      recover=faulted,
-                      range_key=(d, num_devices) if faulted else None,
-                      # the host already consumed its own attempts; never
-                      # re-fire its attempt-0 schedule on the re-queued range
-                      attempt_offset=max_retries + 1 if faulted else 0,
-                      max_retries=max_retries)
-            for i, d in enumerate(lost)
-        ]
-        for spec in rspecs:
-            note("shard_requeue", (spec.index, num_devices),
-                 device_id=spec.device_id)
-            claim(spec.index)
-            note("shard_dispatch", (spec.index, num_devices),
-                 device_id=spec.device_id)
-        if use_pool:
-            rres = run_shards(graph, plan, config, rspecs,
-                              num_workers=num_workers, fault_plan=fault_plan,
-                              timeout_s=config.worker_timeout_s,
-                              protocol_log=protocol_log)
-            for spec, res in zip(rspecs, rres):
-                note("shard_result", (spec.index, num_devices),
-                     countable=res.countable, status=str(res.status))
-            if faulted:
-                for spec, res in zip(rspecs, rres):
-                    ledger.absorb(spec.range_key, res)
-        else:
-            rres = []
-            for spec in rspecs:
-                rres.append(run_with_recovery(
-                    shard_graph(spec.index), plan, config,
-                    fault_plan=fault_plan,
-                    device_id=spec.device_id,
-                    root_partition=spec.root_partition,
-                    root_vertices=spec.vertex_range,
-                    max_retries=max_retries,
-                    ledger=ledger,
-                    range_key=spec.range_key,
-                    attempt_offset=spec.attempt_offset,
-                ))
-                note("shard_result", (spec.index, num_devices),
-                     countable=rres[-1].countable, status=str(rres[-1].status))
-        for spec, res in zip(rspecs, rres):
-            num_requeued += 1
-            timelines[spec.device_id] += res.sim_ms
-            if res.countable:
-                detail = f"re-queued onto device {spec.device_id}"
-                if res.detail:
-                    detail += f" ({res.detail})"
-                res = replace(res, status=RunStatus.RECOVERED, detail=detail)
-            results[spec.index] = res
-    return _aggregate(num_devices, results, timelines, num_requeued)
+        lost = [d for d, res in enumerate(results)
+                if res.status in (RunStatus.FAILED, RunStatus.TIMEOUT)]
+    survivors = [d for d, res in enumerate(results) if res.countable]
+    if not (lost and survivors):
+        return _aggregate(num_devices, results, timelines)
+    # the host already consumed its own attempts; never re-fire its
+    # attempt-0 schedule on the re-queued range
+    offset = max_retries + 1 if faulted else 0
+    rspecs = [shard(d, survivors[i % len(survivors)], offset)
+              for i, d in enumerate(lost)]
+    for spec, res in zip(rspecs, dispatch(rspecs, requeue=True)):
+        timelines[spec.device_id] += res.sim_ms
+        if res.countable:
+            detail = f"re-queued onto device {spec.device_id}"
+            if res.detail:
+                detail += f" ({res.detail})"
+            res = replace(res, status=RunStatus.RECOVERED, detail=detail)
+        results[spec.index] = res
+    return _aggregate(num_devices, results, timelines, len(rspecs))

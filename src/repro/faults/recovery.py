@@ -123,14 +123,15 @@ class RecoveryLedger:
     def absorb(self, key: RangeKey, result: RunResult) -> None:
         """Mirror a shard's *final* result computed elsewhere.
 
-        The process execution backend runs ``run_with_recovery`` inside
-        a worker with a fresh local ledger (preserving the per-attempt
-        X506 checks); the coordinating process then absorbs the
-        returned result here so the shared ledger sees exactly what a
-        serial run would have recorded: one ``commit`` for a countable
-        shard, one ``observe_failure`` otherwise.  A failed result's
-        partial count was already zeroed by the worker-side checks, so
-        both X506 halves keep firing across process boundaries.
+        Shard execution (:mod:`repro.parallel`) runs
+        ``run_with_recovery`` with a fresh local ledger per shard
+        (preserving the per-attempt X506 checks), in-process or in a
+        worker; the coordinator then absorbs the returned result here
+        so the run's ledger records the shard's final outcome: one
+        ``commit`` for a countable shard, one ``observe_failure``
+        otherwise.  A failed result's partial count was already zeroed
+        by the shard-side checks, so both X506 halves keep firing
+        across process boundaries.
         """
         self._note("ledger_absorb", key, countable=result.countable,
                    matches=result.matches)

@@ -1,34 +1,36 @@
-"""Process-pool shard execution (``EngineConfig.executor = "process"``).
+"""Shard execution: the one code path that runs a root range on a device.
 
-Device shards and intra-run root-chunk partitions are embarrassingly
-parallel: each runs an independent kernel over its own round-robin
-slice of the root counter on its own virtual device, exactly the
-duplication-and-split decomposition of STMatch Sec. VIII-B.  Serial
-drivers (``run_multi_gpu``, ``run_distributed``, ``run_partitioned``)
-execute those shards one after another in a single Python process, so
-real wall-clock grows linearly with shard count even though the
-*simulated* makespan shrinks.  This module maps the same shards onto a
-persistent :class:`~concurrent.futures.ProcessPoolExecutor` instead.
+A multi-GPU device shard, a distributed-cluster task and a served
+request are all "run one root range on one virtual device", the
+duplication-and-split decomposition of STMatch Sec. VIII-B.  Every
+driver (``run_multi_gpu`` and through it ``run_partitioned``,
+``run_distributed``'s task profiling, ``MatchService``) describes that
+work as :class:`ShardSpec` s and hands them to :func:`run_shards`,
+which runs each through :func:`_execute_shard` — in the calling
+process (the serial executor passes ``num_workers=1``) or on a
+persistent :class:`~concurrent.futures.ProcessPoolExecutor`
+(``EngineConfig.executor = "process"``).
 
 Identity contract
 -----------------
-The backend is **result-identical to serial**: a shard's kernel run
-depends only on ``(graph, plan, config, shard spec, fault injector)``
-and the simulation is deterministic, so executing shards in worker
-processes changes *which OS process* computes each result and nothing
-else — matches, cycles, steal schedules, ``RunStatus``, obs reports
-and recovery trails are byte-identical (pinned by
+Pool execution is **result-identical to in-process execution**: a
+shard's kernel run depends only on ``(graph, plan, config, shard spec,
+fault injector)``, the simulation is deterministic and both run the
+same shard function, so executing shards in worker processes changes
+*which OS process* computes each result and nothing else — matches,
+cycles, steal schedules, ``RunStatus``, obs reports, recovery trails
+and the coordinator's protocol log are byte-identical (pinned by
 ``tests/test_parallel_identity.py``).  The compiled codegen tier keeps
 this property for free: kernels are never pickled — each worker
 re-derives them from the shipped ``(plan, config)`` through its own
 process-wide code cache (``repro.codegen.compile.compiled_kernel``),
 and the emitted source is a deterministic function of that pair.
 
-Fast fallback
--------------
-``run_shards`` executes in-process — through the *same* shard function
-— when ``num_workers <= 1`` or only one shard exists, so tiny runs
-never pay fork/IPC overhead.  The ``REPRO_EXECUTOR`` and
+In-process execution
+--------------------
+``run_shards`` executes in-process when ``num_workers <= 1`` or only
+one shard exists, so serial and tiny runs never pay fork/IPC
+overhead.  The ``REPRO_EXECUTOR`` and
 ``REPRO_NUM_WORKERS`` environment variables override the config at
 resolution time (CI matrices re-run the whole suite under the process
 backend without touching call sites).
@@ -182,9 +184,9 @@ def _execute_shard(
     if spec.recover:
         from repro.faults.recovery import RecoveryLedger, run_with_recovery
 
-        # a fresh local ledger preserves the per-attempt X506 checks
-        # inside the worker; the caller mirrors the *final* result into
-        # its shared ledger (RecoveryLedger.absorb)
+        # a fresh local ledger keeps the per-attempt X506 checks inside
+        # the shard; the caller mirrors the *final* result into its
+        # run's ledger (RecoveryLedger.absorb)
         return run_with_recovery(
             graph, plan, config,
             fault_plan=fault_plan,
@@ -314,11 +316,11 @@ def is_pool_infra_failure(result: RunResult) -> bool:
     return False
 
 
-def _failed(spec: ShardSpec, detail: str) -> RunResult:
+def _failed(detail: str) -> RunResult:
     return RunResult(system="stmatch", status=RunStatus.FAILED, detail=detail)
 
 
-def _timed_out(spec: ShardSpec, detail: str) -> RunResult:
+def _timed_out(detail: str) -> RunResult:
     return RunResult(system="stmatch", status=RunStatus.TIMEOUT, detail=detail)
 
 
@@ -336,7 +338,7 @@ def run_shards(
     """Execute ``specs`` and return their results in spec order.
 
     With ``num_workers <= 1`` or a single spec the shards run
-    in-process (serial fast fallback — no pool is spawned); pass
+    in-process (no pool is spawned); pass
     ``in_process_fallback=False`` to force pool execution even then
     (the serve layer does: a single-shard request must still hit the
     pool so deadlines and crash containment apply).  Otherwise shards
@@ -345,7 +347,7 @@ def run_shards(
     as ``TIMEOUT`` — both with a non-empty ``detail``
     (:func:`is_pool_infra_failure` recognises them); errors raised *by
     the shard itself* (e.g. a ``SanitizerError``) propagate, exactly as
-    serial execution would.
+    in-process execution would.
 
     ``protocol_log`` (duck-typed ``emit``) records every pool teardown
     — the event the happens-before checker orders worker-result absorbs
@@ -396,7 +398,6 @@ def run_shards(
         except FuturesTimeoutError:
             broken = True
             results.append(_timed_out(
-                spec,
                 f"{TIMEOUT_DETAIL_PREFIX}: shard {spec.index} (device "
                 f"{spec.device_id}) unfinished after {timeout_s}s",
             ))
@@ -404,7 +405,6 @@ def run_shards(
             broken = True
             pool_deaths.append(pos)
             results.append(_failed(
-                spec,
                 f"{WORKER_DEATH_DETAIL_PREFIX} running shard {spec.index} "
                 f"(device {spec.device_id}): "
                 f"{e or 'process pool terminated abruptly'}",
@@ -438,14 +438,12 @@ def run_shards(
                 ).result(timeout=remaining)
             except FuturesTimeoutError:
                 results[pos] = _timed_out(
-                    spec,
                     f"{TIMEOUT_DETAIL_PREFIX}: shard {spec.index} (device "
                     f"{spec.device_id}) unfinished after {timeout_s}s "
                     "(isolation replay)",
                 )
             except BrokenExecutor as e:
                 results[pos] = _failed(
-                    spec,
                     f"{WORKER_DEATH_DETAIL_PREFIX} running shard {spec.index} "
                     f"(device {spec.device_id}), reproduced in isolation: "
                     f"{e or 'process pool terminated abruptly'}",

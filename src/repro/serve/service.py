@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.config import EngineConfig
 from repro.core.counters import RunResult, RunStatus
-from repro.core.engine import STMatchEngine, cached_plan, engine_cache_stats
+from repro.core.engine import cached_plan, engine_cache_stats
 from repro.faults.recovery import RecoveryLedger
 from repro.parallel import (
     ShardSpec,
@@ -538,7 +538,10 @@ class MatchService:
             cfg = cfg.with_budget(self._degrade_budget)
         if level >= 1:
             cfg = cfg.with_(codegen=False)
-        run = self._run_inline(graph, plan, cfg, token)
+        # rungs 1-2 (and rung 0 under a serial executor): the request's
+        # attempt-0 shard, run in the request thread
+        run = run_shards(graph, plan, cfg, [self._shard(token, 0)],
+                         num_workers=1, fault_plan=self._fault_plan)[0]
         attempts += 1
         degraded = level > 0
         detail = "; ".join(p for p in detail_parts if p)
@@ -578,7 +581,6 @@ class MatchService:
     ) -> tuple[RunResult | None, int, str]:
         """Rung 0: the process pool, breaker-guarded, seeded retry with
         exponential backoff + jitter on pool-infrastructure failures."""
-        chaos = self._fault_plan is not None and not self._fault_plan.empty
         last: RunResult | None = None
         detail = ""
         attempts = 0
@@ -598,13 +600,9 @@ class MatchService:
             timeout = cfg.worker_timeout_s
             if remaining is not None:
                 timeout = remaining if timeout is None else min(timeout, remaining)
-            spec = ShardSpec(
-                index=0, device_id=0, recover=chaos,
-                range_key=("serve", token) if chaos else None,
-                attempt_offset=request_attempt_offset(token, attempt),
-                max_retries=ATTEMPT_STRIDE - 1)
             last = run_shards(
-                graph, plan, cfg, [spec], num_workers=num_workers,
+                graph, plan, cfg, [self._shard(token, attempt)],
+                num_workers=num_workers,
                 fault_plan=self._fault_plan, timeout_s=timeout,
                 protocol_log=self._log, in_process_fallback=False)[0]
             if not is_pool_infra_failure(last):
@@ -621,29 +619,17 @@ class MatchService:
                 time.sleep(pause)
         return last, attempts, detail
 
-    def _run_inline(
-        self,
-        graph: "CSRGraph",
-        plan: Any,
-        cfg: EngineConfig,
-        token: str,
-    ) -> RunResult:
-        """Rungs 1-2 (and rung 0 under a serial executor): run in the
-        request thread, through the recovery ladder when a chaos plan
-        is armed so counts stay identical to the fault-free run."""
-        if self._fault_plan is not None and not self._fault_plan.empty:
-            from repro.faults.recovery import run_with_recovery
-
-            return run_with_recovery(
-                graph, plan, cfg,
-                fault_plan=self._fault_plan,
-                device_id=0,
-                max_retries=ATTEMPT_STRIDE - 1,
-                ledger=RecoveryLedger(),
-                range_key=("serve", token),
-                attempt_offset=request_attempt_offset(token, 0),
-            )
-        return STMatchEngine(graph, cfg).run(plan)
+    def _shard(self, token: str, attempt: int) -> ShardSpec:
+        """The request's one shard at service attempt ``attempt``: the
+        whole root range on device 0, through the recovery ladder when a
+        chaos plan is armed so counts stay identical to the fault-free
+        run."""
+        chaos = self._fault_plan is not None and not self._fault_plan.empty
+        return ShardSpec(
+            index=0, device_id=0, recover=chaos,
+            range_key=("serve", token) if chaos else None,
+            attempt_offset=request_attempt_offset(token, attempt),
+            max_retries=ATTEMPT_STRIDE - 1)
 
     # -- response assembly -------------------------------------------------
 

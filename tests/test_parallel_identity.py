@@ -16,12 +16,14 @@ import os
 
 import pytest
 
+from repro.analysis.races import ProtocolLog, check_protocol
 from repro.core.config import EngineConfig
 from repro.core.counters import RunStatus
 from repro.core.distributed import run_distributed
 from repro.core.engine import STMatchEngine
 from repro.core.multi_gpu import run_multi_gpu
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.graph.datasets import load_dataset
 from repro.parallel import (
     ShardSpec,
     default_num_workers,
@@ -31,6 +33,7 @@ from repro.parallel import (
 )
 from repro.parallel import executor as executor_mod
 from repro.pattern import QUERIES
+from repro.serve import MatchRequest, MatchService, ResponseStatus
 from tests import oracle
 
 CHAOS_SEED = 11
@@ -284,6 +287,95 @@ def test_executor_config_validation():
         EngineConfig(num_workers=0)
     with pytest.raises(ValueError, match="worker_timeout_s"):
         EngineConfig(worker_timeout_s=0.0)
+
+
+# -- one shard path ----------------------------------------------------------
+
+#: device 0 fails every attempt of its recovery ladder (max_retries=3),
+#: so its shard is re-queued exactly once onto a survivor
+REQUEUE_PLAN = FaultPlan(events=tuple(
+    FaultEvent(FaultKind.DEVICE_FAIL, device=0, attempt=a, at_cycle=10)
+    for a in range(4)))
+MODES = ("replicate", "range")
+
+
+@pytest.fixture(scope="module")
+def wiki():
+    return load_dataset("wiki_vote", scale="tiny")
+
+
+@pytest.fixture
+def shard_calls(monkeypatch):
+    """Every ShardSpec that reaches ``_execute_shard`` in this process."""
+    calls = []
+    real = executor_mod._execute_shard
+
+    def counting(graph, plan, config, spec, fault_plan):
+        calls.append(spec)
+        return real(graph, plan, config, spec, fault_plan)
+
+    monkeypatch.setattr(executor_mod, "_execute_shard", counting)
+    return calls
+
+
+def requeue_log(graph, config):
+    log = ProtocolLog()
+    res = run_multi_gpu(graph, QUERIES["q1"], 3, config,
+                        fault_plan=REQUEUE_PLAN, max_retries=3,
+                        protocol_log=log)
+    assert res.countable and res.num_requeued == 1
+    rep = check_protocol(log)
+    assert not list(rep), rep.render()
+    return [(e.kind, e.key, e.data) for e in log if e.kind != "pool_teardown"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_requeue_protocol_log_identity(wiki, mode):
+    """A faulted job with a re-queue writes the same protocol log under
+    either executor: both rounds go through one dispatch."""
+    serial = requeue_log(wiki, EngineConfig(executor="serial",
+                                            partition_mode=mode))
+    process = requeue_log(wiki, EngineConfig(executor="process", num_workers=2,
+                                             partition_mode=mode))
+    assert process == serial
+    kinds = [kind for kind, _, _ in serial]
+    assert "ledger_absorb" in kinds and "ledger_commit" not in kinds
+    requeue = kinds.index("shard_requeue")
+    want = ["shard_requeue", "root_claim", "shard_dispatch"] if mode == "range" \
+        else ["shard_requeue", "shard_dispatch"]
+    assert kinds[requeue:requeue + len(want)] == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_serial_multi_gpu_runs_one_shard_call_per_shard(wiki, mode, shard_calls):
+    cfg = EngineConfig(executor="serial", partition_mode=mode)
+    assert run_multi_gpu(wiki, QUERIES["q1"], 3, cfg).ok
+    assert [s.index for s in shard_calls] == [0, 1, 2]
+    shard_calls.clear()
+    res = run_multi_gpu(wiki, QUERIES["q1"], 3, cfg,
+                        fault_plan=REQUEUE_PLAN, max_retries=3)
+    assert res.num_requeued == 1
+    assert [s.index for s in shard_calls] == [0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_serial_distributed_runs_one_shard_call_per_task(wiki, mode, shard_calls):
+    res = run_distributed(wiki, QUERIES["q1"], 2, tasks_per_gpu=2,
+                          config=EngineConfig(executor="serial",
+                                              partition_mode=mode))
+    assert res.ok
+    assert len(shard_calls) == len(res.task_costs_ms) == 4
+
+
+@pytest.mark.parametrize("pressure", [None, 1], ids=["rung0", "degraded"])
+def test_serial_service_runs_one_shard_call_per_request(wiki, pressure,
+                                                       shard_calls):
+    svc = MatchService({"wiki": wiki}, EngineConfig(executor="serial"),
+                       pressure_threshold=pressure)
+    resp = svc.match(MatchRequest(graph="wiki", query=QUERIES["q1"]))
+    assert resp.status == ResponseStatus.OK and resp.served_from == "engine"
+    assert resp.degraded == (pressure is not None)
+    assert len(shard_calls) == 1
 
 
 # -- linter ------------------------------------------------------------------
