@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Where a kernel pass spends its steps: count and host µs per step kind.
 
-    python3 scripts/step_kinds.py                       # all four tables
+    python3 scripts/step_kinds.py                       # all three tables
     python3 scripts/step_kinds.py dense_count --seed 3
     python3 scripts/step_kinds.py --ops sparse_enum     # NumPy-step calls instead
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/step_kinds.py   # another commit
 
-Runs one warm pass of ``benchmarks/perf``'s engine workloads, and the
-anchored launches of ``serve_edits``' forward leg (its edit batches
-straight into ``count_delta``, as ``ServeEdits.layer_extras`` does),
-with ``WarpTask.step`` wrapped from outside (nothing under ``src/``
-knows), and prints per workload
+Runs one warm pass of ``benchmarks/perf``'s engine workloads with
+``WarpTask.step`` wrapped from outside (nothing under ``src/`` knows),
+and prints per workload
 
 * the step kinds — ``leaf`` (a count-only last-level batch), ``frame``
   (any other ``compute_frame`` step), ``pop`` (slot advance / frame pop),
@@ -18,9 +16,7 @@ knows), and prints per workload
   iteration that found nothing), ``retire``;
 * how many UNROLL batches a parent slot is cut into before its leaf
   steps are done (the histogram the count-only leaves' plan-once /
-  replay-per-batch split is sized from);
-* for ``serve_edits``, the anchored launches and the steps and
-  ``compute_frame`` steps (``leaf`` + ``frame``) each one takes.
+  replay-per-batch split is sized from).
 
 With ``--ops`` it instead wraps every public ``LevelOps`` method and
 ``CSRGraph.neighbors_batch`` the same way and prints calls and host µs
@@ -40,7 +36,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "benchmarks" / "perf"))
@@ -52,11 +48,7 @@ from repro.core.levelops import LevelOps  # noqa: E402
 from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.virtgpu.scheduler import StepResult  # noqa: E402
 
-if TYPE_CHECKING:
-    from workloads import ServeEdits  # benchmarks/perf
-
 ENGINE_WORKLOADS = ("dense_count", "sparse_enum", "cold_first_query")
-EDIT_WORKLOAD = "serve_edits"
 
 
 class StepMeter:
@@ -157,14 +149,9 @@ def report_ops(name: str, meter: CallMeter) -> None:
         print(f"  {call:<18} {n:>8} {s:>8.3f} {s / n * 1e6:>8.1f}")
 
 
-def report(name: str, meter: StepMeter, launches: int = 0) -> None:
+def report(name: str, meter: StepMeter) -> None:
     total_n, total_s = sum(meter.count.values()), sum(meter.seconds.values())
     print(f"== {name}: {total_n} steps, {total_s:.3f} s inside WarpTask.step")
-    if launches:
-        frames = meter.count["leaf"] + meter.count["frame"]
-        print(f"  {launches} anchored launches: {total_n / launches:.1f} steps, "
-              f"{frames / launches:.1f} compute_frame steps, "
-              f"{total_s / launches * 1e6:.0f} us in steps per launch")
     print(f"  {'kind':<10} {'steps':>8} {'share':>7} {'seconds':>8} {'us/step':>8}")
     for kind, n in meter.count.most_common():
         s = meter.seconds[kind]
@@ -180,28 +167,13 @@ def report(name: str, meter: StepMeter, launches: int = 0) -> None:
             print(f"    {label:>6} batches: {n:>7} slots ({n / slots:.1%})")
 
 
-def forward_leg_deltas(workload: ServeEdits) -> int:
-    """``serve_edits``' forward batches straight into ``count_delta``;
-    returns the anchored launches made."""
-    from repro.dynamic import EditBatch, OverlayGraph, count_delta
-    from workloads import PRODUCTION
-
-    graph, launches = workload.base, 0
-    for ins, dels in workload.forward:
-        batch = EditBatch.from_lists(inserts=ins, deletes=dels)
-        for query in workload.queries.values():
-            launches += count_delta(graph, query, batch, PRODUCTION)[0].anchor_runs
-        graph = OverlayGraph.from_edits(graph, batch.normalized_against(graph)).compact()
-    return launches
-
-
 def main() -> None:
     from workloads import WORKLOADS  # benchmarks/perf
 
-    names = (*ENGINE_WORKLOADS, EDIT_WORKLOAD)
+    names = ENGINE_WORKLOADS
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*", metavar="workload",
-                        help=f"any of {', '.join(names)} (default: all four)")
+                        help=f"any of {', '.join(names)} (default: all three)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", action="store_true",
                         help="calls and us per call of each LevelOps step instead")
@@ -211,20 +183,16 @@ def main() -> None:
     for name in args.workloads or names:
         workload = WORKLOADS[name](args.seed, False, None)
         workload.setup()
-        launches = 0
         meter = CallMeter() if args.ops else StepMeter()
         try:
             with meter:
-                if name == EDIT_WORKLOAD:
-                    launches = forward_leg_deltas(workload)
-                else:
-                    workload.run_pass()
+                workload.run_pass()
         finally:
             workload.close()
         if isinstance(meter, CallMeter):
             report_ops(name, meter)
         else:
-            report(name, meter, launches)
+            report(name, meter)
 
 
 if __name__ == "__main__":

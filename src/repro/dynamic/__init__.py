@@ -10,8 +10,9 @@ The static engine answers one-shot counts over an immutable
   ``compact()`` merges the deltas into a fresh CSR.
 * :func:`~repro.dynamic.incremental.count_delta` /
   :class:`~repro.dynamic.incremental.IncrementalMatcher` — exact count
-  maintenance by anchoring pinned kernel launches at each changed edge
-  (delta anchoring, arXiv 2401.17018) instead of recounting.
+  maintenance by pinned exact counts (:mod:`repro.core.frontier`)
+  anchored at each changed edge (delta anchoring, arXiv 2401.17018)
+  instead of recounting.
 * :class:`~repro.dynamic.overlay.EditBatch` — the canonical edit
   carrier with delete-then-insert semantics.
 

@@ -3,8 +3,10 @@
 Instead of recounting a mutated graph from scratch, the incremental
 counter explores only the matches that *touch a changed edge* — the
 delta-anchoring idea of GPU-accelerated batch-dynamic subgraph matching
-(arXiv 2401.17018), run here on the STMatch stack kernel via pinned
-launches (``engine.run(..., pins={0: u, 1: v})``).
+(arXiv 2401.17018).  Only the exact counts matter here, so the anchored
+runs go to the simulator-free frontier counter
+(``frontier_count(graph, plan, pins={0: u, 1: v})``,
+:mod:`repro.core.frontier`), not to the cycle-accounted kernel.
 
 Exactness argument (the math the differential suite pins down):
 
@@ -31,7 +33,7 @@ Exactness argument (the math the differential suite pins down):
   dividing by ``|Aut(query)|`` at the end yields the unique-match
   delta exactly; divisibility is asserted, not assumed.
 
-* Only one arc per ``Aut(query)``-orbit of arcs is launched.  For an
+* Only one arc per ``Aut(query)``-orbit of arcs is counted.  For an
   automorphism ``σ`` with ``σ(a) = a', σ(b) = b'``, ``m ↦ m∘σ`` is a
   bijection from the embeddings with ``m[a'] = u, m[b'] = v`` onto
   those with ``m[a] = u, m[b] = v``: ``σ`` permutes the query's edges
@@ -51,13 +53,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.config import EngineConfig
-from repro.core.counters import RunStatus
 from repro.core.engine import STMatchEngine
+from repro.core.frontier import frontier_count
 from repro.lru import LRUCache
 from repro.pattern.matching_order import is_connected_order
 from repro.pattern.plan import MatchingPlan, build_plan
 from repro.pattern.symmetry import arc_orbits, num_automorphisms
-from repro.virtgpu.device import DeviceConfig
 
 from .overlay import EditBatch, OverlayGraph, overlaid
 
@@ -68,10 +69,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CountDelta", "IncrementalMatcher", "count_delta"]
 
 #: anchored plans are tiny and query-shaped, not data-shaped — a small
-#: shared LRU with one entry per (query, code_motion), see _anchor_plans
+#: shared LRU with one entry per query, see _anchor_plans
 _ANCHOR_PLAN_CACHE: LRUCache = LRUCache(256, name="anchor-plans")
 
-#: one arc orbit's launch: the representative's plan, the orbit size,
+#: one arc orbit's anchored count: the representative's plan, the orbit size,
 #: and the representative's (label_a, label_b) — shared by the orbit
 _OrbitAnchor = tuple[MatchingPlan, int, tuple[int | None, int | None]]
 
@@ -79,18 +80,17 @@ _OrbitAnchor = tuple[MatchingPlan, int, tuple[int | None, int | None]]
 @dataclass(frozen=True)
 class CountDelta:
     """Result of one incremental batch: the exact count change plus
-    the work accounting of the anchored launches that produced it."""
+    the work accounting of the anchored runs that produced it."""
 
     added: int  #: unique matches created by the batch
     removed: int  #: unique matches destroyed by the batch
     num_inserts: int  #: effective inserted edges (after normalization)
     num_deletes: int  #: effective deleted edges (after normalization)
-    #: pinned kernel launches executed: one per (changed edge, arc-orbit
+    #: pinned frontier counts executed: one per (changed edge, arc-orbit
     #: representative) that survived label pruning, not one per query arc
     anchor_runs: int
     #: arc-orbit representatives skipped by label compatibility
     anchors_pruned: int
-    cycles: float  #: simulated device cycles across all anchored runs
     wall_s: float  #: host wall-clock spent in :func:`count_delta`
 
     @property
@@ -125,12 +125,10 @@ def _anchor_order(query: QueryGraph, a: int, b: int) -> list[int]:
     return order
 
 
-def _anchor_plans(query: QueryGraph,
-                  code_motion: bool) -> tuple[_OrbitAnchor, ...]:
+def _anchor_plans(query: QueryGraph) -> tuple[_OrbitAnchor, ...]:
     """One anchored plan per ``Aut(query)``-orbit of arcs, built on the
     orbit's smallest arc."""
-    key = (query, code_motion)
-    anchors = _ANCHOR_PLAN_CACHE.get(key)
+    anchors = _ANCHOR_PLAN_CACHE.get(query)
     if anchors is None:
         anchors = tuple(
             (build_plan(
@@ -138,59 +136,33 @@ def _anchor_plans(query: QueryGraph,
                 data_graph=None,
                 vertex_induced=False,
                 symmetry_breaking=False,  # embedding counts; /|Aut| at the end
-                code_motion=code_motion,
                 order=_anchor_order(query, a, b),
             ), size, (query.label_of(a), query.label_of(b)))
             for (a, b), size in arc_orbits(query))
-        _ANCHOR_PLAN_CACHE.put(key, anchors)
+        _ANCHOR_PLAN_CACHE.put(query, anchors)
     return anchors
 
 
-def _anchor_config(config: EngineConfig) -> EngineConfig:
-    """Strip the heavyweight machinery off anchored launches.
-
-    Counts are warp-count-independent, and a pinned root range holds at
-    most one vertex — a minimal device keeps the per-anchor fixed cost
-    (allocation, scheduling) from swamping small batches.
-    """
-    return config.with_(
-        observe=False,
-        sanitize=False,
-        checkpoint_interval=None,
-        max_results=None,
-        codegen=False,
-        executor="serial",
-        device=DeviceConfig(num_blocks=1, warps_per_block=1),
-    )
-
-
 def _embeddings_using(
-    engine: STMatchEngine,
+    graph: OverlayGraph,
     query: QueryGraph,
     u: int,
     v: int,
-    code_motion: bool,
-) -> tuple[int, int, int, float]:
-    """Embeddings of ``engine.graph`` that map some query edge onto the
-    data edge ``(u, v)``; returns ``(count, runs, pruned, cycles)``."""
-    graph = engine.graph
+) -> tuple[int, int, int]:
+    """Embeddings of ``graph`` that map some query edge onto the data
+    edge ``(u, v)``; returns ``(count, runs, pruned)``."""
     total = 0
     runs = 0
     pruned = 0
-    cycles = 0.0
     labeled = graph.is_labeled and query.labels is not None
     data_labels = (graph.label_of(u), graph.label_of(v)) if labeled else None
-    for plan, orbit_size, labels in _anchor_plans(query, code_motion):
+    for plan, orbit_size, labels in _anchor_plans(query):
         if labeled and labels != data_labels:
             pruned += 1
             continue
-        res = engine.run(plan, pins={0: int(u), 1: int(v)})
-        assert res.status == RunStatus.OK, (
-            f"anchored launch failed: {res.status}")
-        total += orbit_size * res.matches
+        total += orbit_size * frontier_count(graph, plan, {0: u, 1: v})
         runs += 1
-        cycles += res.cycles
-    return total, runs, pruned, cycles
+    return total, runs, pruned
 
 
 def count_delta(
@@ -211,7 +183,6 @@ def count_delta(
     if getattr(graph, "directed", False) or query.directed:
         raise NotImplementedError(
             "incremental counts support undirected graphs and queries only")
-    cfg = _anchor_config(config or EngineConfig())
     if config is not None and config.max_results is not None:
         raise ValueError(
             "incremental counts are exact; max_results budgets are not "
@@ -224,34 +195,26 @@ def count_delta(
         # vertex set is fixed, so single-vertex counts never change
         mutated = current.with_edits(eff) if not eff.empty else current
         return (CountDelta(0, 0, int(eff.inserts.shape[0]),
-                           int(eff.deletes.shape[0]), 0, 0, 0.0,
+                           int(eff.deletes.shape[0]), 0, 0,
                            time.perf_counter() - t0), mutated)
-    code_motion = cfg.code_motion
     removed_emb = 0
     added_emb = 0
     runs = 0
     pruned = 0
-    cycles = 0.0
     # deletes first, one at a time: anchor while the edge is still present
     for u, v in eff.deletes:
-        engine = STMatchEngine(current, cfg)
-        emb, r, p, c = _embeddings_using(engine, query, int(u), int(v),
-                                         code_motion)
+        emb, r, p = _embeddings_using(current, query, int(u), int(v))
         removed_emb += emb
         runs += r
         pruned += p
-        cycles += c
         current = current.with_edits(EditBatch.from_lists(deletes=[(u, v)]))
     # then inserts, one at a time: anchor once the edge is present
     for u, v in eff.inserts:
         current = current.with_edits(EditBatch.from_lists(inserts=[(u, v)]))
-        engine = STMatchEngine(current, cfg)
-        emb, r, p, c = _embeddings_using(engine, query, int(u), int(v),
-                                         code_motion)
+        emb, r, p = _embeddings_using(current, query, int(u), int(v))
         added_emb += emb
         runs += r
         pruned += p
-        cycles += c
     if symmetry_breaking:
         aut = num_automorphisms(query)
         assert added_emb % aut == 0 and removed_emb % aut == 0, (
@@ -266,7 +229,6 @@ def count_delta(
         num_deletes=int(eff.deletes.shape[0]),
         anchor_runs=runs,
         anchors_pruned=pruned,
-        cycles=cycles,
         wall_s=time.perf_counter() - t0,
     )
     return delta, current

@@ -399,14 +399,24 @@ class OverlayGraph:
 
     def neighbors_batch(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vs = np.asarray(vs, dtype=np.int64)
-        if vs.size == 0 or not bool(self._touched[vs].any()):
+        touched = self._touched[vs]
+        if vs.size == 0 or not bool(touched.any()):
             return self.base.neighbors_batch(vs)
-        rows = [self.neighbors(int(v)) for v in vs]
-        offsets = np.empty(vs.size + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum([r.size for r in rows], out=offsets[1:])
-        values = np.concatenate(rows) if int(offsets[-1]) else _EMPTY_I32
-        return values.astype(np.int32, copy=False), offsets
+        # one base gather for every row, then the merged rows of the
+        # touched ones spliced in (only those cost a Python call)
+        base_vals, base_offs = self.base.neighbors_batch(vs)
+        lens = base_offs[1:] - base_offs[:-1]
+        hit = np.flatnonzero(touched)
+        rows = [self.neighbors(v) for v in vs[hit].tolist()]
+        out_lens = lens.copy()
+        out_lens[hit] = [r.size for r in rows]
+        offsets = np.zeros(vs.size + 1, dtype=np.int64)
+        np.cumsum(out_lens, out=offsets[1:])
+        values = np.empty(int(offsets[-1]), dtype=np.int32)
+        merged = touched.repeat(out_lens)
+        values[~merged] = base_vals[~touched.repeat(lens)]
+        values[merged] = np.concatenate(rows)
+        return values, offsets
 
     def in_neighbors_batch(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.reversed_view().neighbors_batch(vs)
