@@ -4,6 +4,7 @@
     python3 scripts/step_kinds.py                       # all three tables
     python3 scripts/step_kinds.py dense_count --seed 3
     python3 scripts/step_kinds.py --ops sparse_enum     # NumPy-step calls instead
+    python3 scripts/step_kinds.py --smoke               # shrunk workloads (seconds)
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/step_kinds.py   # another commit
 
 Runs one warm pass of ``benchmarks/perf``'s engine workloads with
@@ -14,6 +15,9 @@ and prints per workload
   (any other ``compute_frame`` step), ``pop`` (slot advance / frame pop),
   ``acquire`` (root chunk or successful steal), ``idle-poll`` (a spin
   iteration that found nothing), ``retire``;
+* ``loop`` — ``EventScheduler.run``'s wall time minus the time inside
+  ``WarpTask.step``: the heap, hook and dispatch cost around the steps,
+  in total and per step;
 * how many UNROLL batches a parent slot is cut into before its leaf
   steps are done (the histogram the count-only leaves' plan-once /
   replay-per-batch split is sized from).
@@ -46,26 +50,40 @@ if not any(Path(p, "repro").is_dir() for p in sys.path if p):
 from repro.core.kernel import WarpTask  # noqa: E402
 from repro.core.levelops import LevelOps  # noqa: E402
 from repro.graph.csr import CSRGraph  # noqa: E402
-from repro.virtgpu.scheduler import StepResult  # noqa: E402
+from repro.virtgpu.scheduler import EventScheduler, StepResult  # noqa: E402
 
 ENGINE_WORKLOADS = ("dense_count", "sparse_enum", "cold_first_query")
 
 
 class StepMeter:
     """Wraps ``WarpTask.step``; classifies each step by what the task
-    looked like going in (and, for an empty stack, coming out)."""
+    looked like going in (and, for an empty stack, coming out).  Also
+    wraps ``EventScheduler.run``: its wall time minus the time spent in
+    the step wrapper (the meter's own classifying included) is the
+    ``loop`` row."""
 
     def __init__(self) -> None:
         self.count: Counter[str] = Counter()
         self.seconds: Counter[str] = Counter()
         self.batches: Counter[int] = Counter()  # batches per parent slot -> slots
         self._open: dict[int, tuple[object, int]] = {}  # task -> (parent array, batches so far)
+        self.run_seconds = 0.0    # inside EventScheduler.run
+        self.inside_seconds = 0.0  # inside the step wrapper
         self._step = WarpTask.step
+        self._run = EventScheduler.run
 
     def __enter__(self) -> "StepMeter":
         meter = self
 
+        def run(sched: EventScheduler[Any], max_steps: int | None = None) -> int:
+            t0 = time.perf_counter()
+            try:
+                return meter._run(sched, max_steps)
+            finally:
+                meter.run_seconds += time.perf_counter() - t0
+
         def step(task: WarpTask) -> StepResult:
+            t_in = time.perf_counter()
             kind = meter.kind_before(task)
             t0 = time.perf_counter()
             result = meter._step(task)
@@ -75,13 +93,16 @@ class StepMeter:
                         else "acquire" if task.stack.depth else "idle-poll")
             meter.count[kind] += 1
             meter.seconds[kind] += dt
+            meter.inside_seconds += time.perf_counter() - t_in
             return result
 
         WarpTask.step = step  # type: ignore[method-assign]
+        EventScheduler.run = run  # type: ignore[method-assign]
         return self
 
     def __exit__(self, *exc: object) -> None:
         WarpTask.step = self._step  # type: ignore[method-assign]
+        EventScheduler.run = self._run  # type: ignore[method-assign]
         for _, n in self._open.values():
             self.batches[n] += 1
         self._open.clear()
@@ -156,6 +177,9 @@ def report(name: str, meter: StepMeter) -> None:
     for kind, n in meter.count.most_common():
         s = meter.seconds[kind]
         print(f"  {kind:<10} {n:>8} {n / total_n:>7.1%} {s:>8.3f} {s / n * 1e6:>8.1f}")
+    loop_s = meter.run_seconds - meter.inside_seconds
+    print(f"  {'loop':<10} {total_n:>8} {'':>7} {loop_s:>8.3f} {loop_s / total_n * 1e6:>8.1f}"
+          "   (EventScheduler.run outside the steps)")
     slots = sum(meter.batches.values())
     if slots:
         mean = sum(k * v for k, v in meter.batches.items()) / slots
@@ -177,11 +201,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", action="store_true",
                         help="calls and us per call of each LevelOps step instead")
+    parser.add_argument("--smoke", action="store_true",
+                        help="run.py --smoke's shrunk workloads (a few seconds)")
     args = parser.parse_args()
     if set(args.workloads) - set(names):
         parser.error(f"workloads are {', '.join(names)}")
     for name in args.workloads or names:
-        workload = WORKLOADS[name](args.seed, False, None)
+        workload = WORKLOADS[name](args.seed, args.smoke, None)
         workload.setup()
         meter = CallMeter() if args.ops else StepMeter()
         try:

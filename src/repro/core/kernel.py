@@ -24,6 +24,7 @@ paper's core contrast with subgraph-centric systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.faults.errors import InjectedFault, KernelTimeoutError
@@ -139,6 +140,8 @@ class KernelState:
     chunks_served: int = 0     # root chunks handed out (checkpoint clock)
     stop_flag: bool = False
     active_count: int = 0  # warps currently holding a nonempty stack
+    # the same, per block: a spin poll in a block at 0 has no local victim
+    block_active: list[int] = field(default_factory=list)
     tasks: list["WarpTask"] = field(default_factory=list)
     sanitizer: "StealSanitizer | None" = None
     checkpointer: Checkpointer | None = None
@@ -191,6 +194,10 @@ class KernelState:
         self.board.idle = [set(s) for s in snap.board_idle]
         self.board.slots = [_clone_pending(pw) for pw in snap.board_slots]
         self.active_count = sum(1 for t in self.tasks if t.stack.depth > 0)
+        self.block_active = [0] * self.device.num_blocks
+        for t in self.tasks:
+            if t.stack.depth > 0:
+                self.block_active[t.warp.block_id] += 1
         if self.tracer is not None:
             self.tracer.on_restore(
                 len(self.tasks), snap.chunks_served, snap.matches,
@@ -230,10 +237,6 @@ class WarpTask:
     def runnable(self) -> bool:
         return self.status == WarpTask.RUNNING
 
-    @property
-    def clock(self) -> float:
-        return self.warp.clock
-
     # -- bookkeeping -----------------------------------------------------
 
     def _gain_work(self, frames: list[Frame] | Frame) -> None:
@@ -243,25 +246,48 @@ class WarpTask:
         else:
             self.stack.frames = frames
         self.state.active_count += 1
+        self.state.block_active[self.warp.block_id] += 1
         self.state.board.clear_idle(self.warp.block_id, self.warp.warp_id)
 
     def _drop_stack(self) -> None:
         if self.stack.depth:
             self.stack.clear()
         self.state.active_count -= 1
+        self.state.block_active[self.warp.block_id] -= 1
 
     # -- scheduler hook ----------------------------------------------------
 
     def step(self) -> StepResult:
+        """One iteration of the kernel loop.  Stop and pop / next-slot
+        steps — most steps — are handled inline; an empty stack calls
+        :meth:`_acquire_work` and a batch :meth:`_batch_step`."""
         st = self.state
+        frames = self.stack.frames
         if st.stop_flag:
-            if self.stack.depth:
+            if frames:
                 self._drop_stack()
             self.status = WarpTask.DONE
             return StepResult.DONE
-        if self.stack.depth == 0:
+        if not frames:
             return self._acquire_work()
-        return self._advance()
+        f = frames[-1]
+        if f.cand[f.uiter].size > f.iter:
+            return self._batch_step(f)
+        # top slot exhausted: advance to the next unrolled slot, or pop
+        # (the warp_issue charge is Warp.charge's two additions)
+        warp = self.warp
+        cycles = warp.cost.warp_issue
+        warp.clock += cycles
+        warp.counters.busy_cycles += cycles
+        if f.uiter + 1 < len(f.cand):
+            f.uiter += 1
+            f.iter = 0
+        else:
+            frames.pop()
+            if not frames:
+                st.active_count -= 1
+                st.block_active[warp.block_id] -= 1
+        return StepResult.RUNNING
 
     # -- work acquisition --------------------------------------------------
 
@@ -314,6 +340,8 @@ class WarpTask:
         cfg = st.config
         if st.tracer is not None:
             st.tracer.on_local_attempt(self.warp)
+        if not st.block_active[self.warp.block_id]:
+            return False  # no sibling holds a stack to divide
         siblings = st.block_tasks(self.warp.block_id)
         target = select_local_target(self, siblings, cfg.stop_level)
         if target is None:
@@ -402,20 +430,12 @@ class WarpTask:
 
     # -- the loop body -----------------------------------------------------
 
-    def _advance(self) -> StepResult:
+    def _batch_step(self, f: Frame) -> StepResult:
+        """Take the next ``UNROLL`` candidates of the top frame ``f``
+        and compute (or count) the level below them."""
         st = self.state
         cfg = st.config
         warp = self.warp
-        f = self.stack.top
-        if f.remaining_active() == 0:
-            warp.charge(warp.cost.warp_issue)
-            if f.uiter + 1 < f.nslots:
-                f.advance_slot()
-            else:
-                self.stack.pop()
-                if self.stack.depth == 0:
-                    self.state.active_count -= 1
-            return StepResult.RUNNING
         lo = f.iter
         batch = f.active_cand()[lo : lo + cfg.unroll]
         f.iter = lo + int(batch.size)
@@ -565,6 +585,7 @@ def run_kernel(
                       and computer.supports_count_only),
     )
     state.tasks = [WarpTask(w, state) for w in device.warps]
+    state.block_active = [0] * device.num_blocks
     if tracer is not None:
         tracer.on_kernel_start(len(state.tasks))
     if checkpoint_interval is not None:
@@ -594,8 +615,9 @@ def run_kernel(
         tiebreak = lambda _t: float(rng.random())  # noqa: E731
     sched: EventScheduler[WarpTask] = EventScheduler(
         runnable,
-        clock_of=lambda t: t.clock,
-        step=lambda t: t.step(),
+        clock_of=attrgetter("warp.clock"),
+        # looked up per launch, so a class-level wrapper sees every step
+        step=WarpTask.step,
         watchdog=device.check_faults if injector is not None else None,
         tracer=tracer,
         tiebreak=tiebreak,

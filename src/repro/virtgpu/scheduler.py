@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from typing import Callable, Generic, TypeVar
 
 __all__ = ["StepResult", "EventScheduler"]
@@ -75,30 +76,63 @@ class EventScheduler(Generic[T]):
         self._seq += 1
 
     def run(self, max_steps: int | None = None) -> int:
-        """Step entities until all are done; returns the step count."""
+        """Step entities until all are done; returns the step count.
+
+        A step that leaves its entity RUNNING builds the entry ``_push``
+        would make (new clock, tiebreak key, next ``seq``).  When that
+        entry sorts strictly before the heap's head — or the heap is
+        empty — the next pop would return it, so the entity steps again
+        without the push/pop round trip.  Keys are drawn and ``seq``
+        consumed exactly as a push would, so the step sequence is the
+        unfused loop's under FIFO and seeded tie-breaks alike.
+        """
+        heap = self._heap
+        heappop, heappush = heapq.heappop, heapq.heappush
+        clock_of, step = self._clock_of, self._step
+        watchdog, tracer, tiebreak = self._watchdog, self._tracer, self._tiebreak
+        running = StepResult.RUNNING
+        limit = math.inf if max_steps is None else max_steps
         steps = 0
-        while self._heap:
-            if max_steps is not None and steps >= max_steps:
-                break
-            clock, _, _, e = heapq.heappop(self._heap)
-            if clock != self._clock_of(e):
-                # entity was re-clocked while queued: reinsert at its
-                # true position
-                self._push(e)
-                continue
-            if self._watchdog is not None:
-                # fault-injection hook: sees the simulated time of the
-                # step about to run and may raise (device failure /
-                # kernel timeout), aborting the whole run mid-flight
-                self._watchdog(clock)
-            result = self._step(e)
-            if self._tracer is not None:
-                self._tracer.on_step(clock, e, result)
-            steps += 1
-            if result is StepResult.RUNNING:
-                self._push(e)
-            else:
-                self._done += 1
+        seq = self._seq
+        try:
+            while heap and steps < limit:
+                clock, _, _, e = heappop(heap)
+                now = clock_of(e)
+                if clock != now:
+                    # entity was re-clocked while queued: reinsert at its
+                    # true position
+                    key = 0.0 if tiebreak is None else tiebreak(e)
+                    heappush(heap, (now, key, seq, e))
+                    seq += 1
+                    continue
+                while True:
+                    if watchdog is not None:
+                        # fault-injection hook: sees the simulated time of
+                        # the step about to run and may raise (device
+                        # failure / kernel timeout), aborting the whole
+                        # run mid-flight
+                        watchdog(clock)
+                    result = step(e)
+                    if tracer is not None:
+                        tracer.on_step(clock, e, result)
+                    steps += 1
+                    if result is not running:
+                        self._done += 1
+                        break
+                    clock = clock_of(e)
+                    key = 0.0 if tiebreak is None else tiebreak(e)
+                    entry = (clock, key, seq, e)
+                    seq += 1
+                    if heap:
+                        head = heap[0]
+                        if clock > head[0] or (clock == head[0] and key >= head[1]):
+                            heappush(heap, entry)
+                            break
+                    if steps >= limit:
+                        heappush(heap, entry)
+                        break
+        finally:
+            self._seq = seq
         return steps
 
     @property

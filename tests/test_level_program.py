@@ -297,7 +297,7 @@ def _parent_stack(rng, graph, size=21):
 
 
 def _next_batch(stack):
-    """What ``WarpTask._advance`` hands the leaf: the next UNROLL
+    """What ``WarpTask._batch_step`` hands the leaf: the next UNROLL
     candidates of the active slot as a window of it."""
     f = stack.top
     lo = f.iter
