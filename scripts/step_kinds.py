@@ -114,8 +114,7 @@ class StepMeter:
         f = task.stack.top
         if f.remaining_active() == 0:
             return "pop"
-        if not (f.level + 1 == st.plan.size - 1 and st.on_match is None
-                and st.sanitizer is None and st.computer.supports_count_only):
+        if not (f.level + 1 == st.last_level and st.count_leaves):
             return "frame"
         parent = f.active_cand()
         seen = self._open.get(id(task))

@@ -122,7 +122,8 @@ RULE_REGISTRY: dict[str, RuleInfo] = {
             "L306": ("lifetime inversion: last_use_level disagrees with dependency_edges",
                      "a REF dependency must be defined no later than — and stay live "
                      "through — its consumer's level"),
-            "L307": ("fastpath operand memoization aliases a written slot (stale broadcast)",
+            "L307": ("the lowered walk's operand memoization aliases a written slot "
+                     "(stale broadcast)",
                      "schedule a same-level REF dependency before its consumer so the "
                      "memoized operand reads the freshly written slot"),
             "L308": ("count-only-leaf eligibility contradicts sanitizer/consumer requirements",

@@ -112,7 +112,7 @@ def check_lifetimes(
             )
 
     # L307: same-level REF dependency must be scheduled before its
-    # consumer — the fastpath memoizes operand slots in schedule order
+    # consumer — the lowered walk memoizes operand slots in schedule order
     for lvl, scheduled in enumerate(program.sets_at_level):
         pos = {sid: i for i, sid in enumerate(scheduled)}
         for sid in scheduled:
@@ -136,7 +136,7 @@ def check_lifetimes(
                     "L307", Severity.ERROR, f"S{sid}",
                     f"S{sid} (position {pos[sid]} at level {lvl}) REFs "
                     f"S{dep}, scheduled later (position {pos[dep]}): the "
-                    "fastpath memoizes operand slots in schedule order, so "
+                    "lowered walk memoizes operand slots in schedule order, so "
                     f"S{sid} reads the stale previous-iteration value of "
                     f"S{dep}'s slot",
                     hint="schedule a same-level REF dependency before its "
@@ -156,18 +156,14 @@ def check_lifetimes(
                     f"{['S%d' % s for s in eaters]}: a count-only leaf is "
                     "never materialized, so those reads see garbage",
                     hint="a leaf with consumers must be materialized — drop "
-                         "the consumers or disable the count-only fastpath",
+                         "the consumers",
                 )
-    if (
-        config is not None
-        and getattr(config, "fastpath", False)
-        and getattr(config, "sanitize", False)
-    ):
+    if config is not None and getattr(config, "sanitize", False):
         rep.add(
             "L308", Severity.NOTE, "config",
-            "fastpath requests count-only leaves but the sanitizer "
-            "requires materialized leaf candidates to audit: the kernel "
-            "silently disables the count-only leaf under sanitize=True",
+            "the sanitizer requires materialized leaf candidates to "
+            "audit: the kernel disables the count-only leaf under "
+            "sanitize=True on every tier",
             hint="benchmark with sanitize=False; audit with the "
                  "understanding that count-only leaves are off",
         )

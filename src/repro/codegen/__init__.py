@@ -1,6 +1,6 @@
 """Compiled per-query kernel tier (``EngineConfig.codegen``).
 
-The interpreted fast path (``CandidateComputer._walk``) walks a plan's
+The interpreted walk (``CandidateComputer._walk``) walks a plan's
 lowered :class:`~repro.core.lowering.LevelProgram` on every frame.
 This package *prints that walk as Python source* for one
 ``(query, schedule)`` pair — the step loop unrolled, gather and set

@@ -31,8 +31,6 @@ class CodegenCandidateComputer(CandidateComputer):
     """Evaluates ``getCandidates`` through a compiled per-plan kernel."""
 
     def __init__(self, graph: CSRGraph, plan: MatchingPlan, config: EngineConfig) -> None:
-        if not config.fastpath:
-            raise ValueError("codegen requires fastpath=True")
         super().__init__(graph, plan, config)
         self.kernel = compiled_kernel(plan, config)
 

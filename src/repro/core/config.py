@@ -73,19 +73,12 @@ class EngineConfig:
     #   verifies the plan at launch and checks every steal for segment
     #   disjointness, conservation and frame invariants; raises
     #   SanitizerError instead of silently corrupting counts
-    fastpath: bool = True
-    #   vectorized getCandidates backend (docs/PERFORMANCE.md): batched
-    #   CSR gathers, one segmented searchsorted per set operation,
-    #   sorted-merge filtering and count-only leaves.  Semantics- and
-    #   cost-model-preserving: match counts and simulated cycles are
-    #   byte-identical to the per-slot reference path (property-tested);
-    #   only host wall-clock changes.  False selects the reference path.
     bitmap_threshold: int | None = None
     #   optional adjacency bitmap index (GSI-style): vertices whose
     #   degree reaches the threshold get dense boolean adjacency rows so
     #   hot operand membership tests are O(1) lookups on the host.
-    #   None disables the index; only the fastpath consults it, and the
-    #   simulated binary-search charges are unchanged either way.
+    #   None disables the index; the simulated binary-search charges are
+    #   unchanged either way.
     checkpoint_interval: int | None = None
     #   stack checkpointing (repro.core.checkpoint): snapshot the whole
     #   launch (C/Csize/iter/uiter + root counter) every N root chunks.
@@ -118,16 +111,16 @@ class EngineConfig:
     #   re-queued onto surviving shards' devices — never a hang.
     #   None (default) waits indefinitely, matching serial semantics.
     codegen: bool = False
-    #   compiled per-query kernel tier (repro.codegen): print the fast
-    #   path's walk of the lowered level program (core/lowering.py) as
-    #   Python source per (query, schedule) — step loop unrolled,
+    #   compiled per-query kernel tier (repro.codegen): print the walk
+    #   of the lowered level program (core/lowering.py) as Python
+    #   source per (query, schedule) — step loop unrolled,
     #   constants frozen — exec it once and cache it in a
     #   graph-independent process-wide LRU.  It calls the same
     #   core/levelops.py functions as the interpreted walk, so matches,
     #   simulated cycles, steal schedules and tracer streams are
     #   identical by construction; only host wall-clock changes.
-    #   Requires fastpath=True; the REPRO_CODEGEN env var overrides at
-    #   resolution time for CI matrices.
+    #   The REPRO_CODEGEN env var overrides at resolution time for CI
+    #   matrices.
     graph_backend: str = "memory"
     #   graph residency backend (repro.scale.backend): "memory" keeps
     #   the CSR arrays in RAM; "memmap" spills them once to an on-disk
@@ -185,11 +178,6 @@ class EngineConfig:
         if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
             raise ValueError(
                 "worker_timeout_s must be > 0 seconds (or None to wait forever)"
-            )
-        if self.codegen and not self.fastpath:
-            raise ValueError(
-                "codegen specializes the fastpath backend and requires "
-                "fastpath=True (the reference path stays interpreted)"
             )
         if self.graph_backend not in ("memory", "memmap"):
             raise ValueError(

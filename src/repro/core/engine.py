@@ -178,7 +178,6 @@ class STMatchEngine:
         resume_from: KernelSnapshot | None = None,
         collector: object | None = None,
         schedule_seed: int | None = None,
-        pins: dict[int, int] | None = None,
     ) -> RunResult:
         """Match ``query`` (or a prebuilt plan); returns a RunResult.
 
@@ -205,14 +204,6 @@ class STMatchEngine:
         seed must produce the same count, which the race analyzer's
         schedule explorer asserts.
 
-        ``pins`` maps matching-order positions to required data
-        vertices (``{0: u, 1: v}`` anchors the run at the data edge
-        ``(u, v)``): a pinned level's candidate set is intersected with
-        the pin after every regular filter.  The batch-dynamic layer
-        (:mod:`repro.dynamic`) uses this to count only the matches
-        through a changed edge.  Pins force the interpreted candidate
-        backend (the codegen tier compiles pin-free kernels).
-
         ``resume_from`` continues a checkpointed launch (see
         ``EngineConfig.checkpoint_interval``) instead of starting over.
         A launch killed by an injected fault returns status ``TIMEOUT``
@@ -238,7 +229,7 @@ class STMatchEngine:
 
             verify_plan(plan).raise_if_errors()
         dev = device or VirtualDevice(cfg.device)
-        computer = self._make_computer(plan, cfg, pins=pins)
+        computer = self._make_computer(plan, cfg)
         if root_vertices is not None:
             # root candidates are sorted ascending, so vertex-id
             # ownership [lo, hi) is a contiguous candidate-index slice
@@ -337,30 +328,16 @@ class STMatchEngine:
             ),
         )
 
-    def _make_computer(
-        self,
-        plan: MatchingPlan,
-        cfg: EngineConfig,
-        pins: dict[int, int] | None = None,
-    ) -> CandidateComputer:
-        """Pick the candidate backend: interpreted, or the compiled tier.
+    def _make_computer(self, plan: MatchingPlan, cfg: EngineConfig) -> CandidateComputer:
+        """Pick the candidate backend: interpreted, or the compiled tier."""
+        # core reaches repro.codegen only lazily: imports run one way
+        from repro.codegen.cache import resolve_codegen
 
-        Codegen rides on the fast path only — with ``fastpath=False``
-        the reference interpreter always runs, even under
-        ``REPRO_CODEGEN=1`` (the env override must never flip a
-        reference-path differential test onto generated code).  Pinned
-        (anchored) runs always interpret: the emitted per-plan modules
-        freeze a pin-free candidate pipeline.
-        """
-        if pins is None and cfg.fastpath:
-            # core reaches repro.codegen only lazily: imports run one way
-            from repro.codegen.cache import resolve_codegen
+        if resolve_codegen(cfg):
+            from repro.codegen.computer import CodegenCandidateComputer
 
-            if resolve_codegen(cfg):
-                from repro.codegen.computer import CodegenCandidateComputer
-
-                return CodegenCandidateComputer(self.graph, plan, cfg)
-        return CandidateComputer(self.graph, plan, cfg, pins=pins)
+            return CodegenCandidateComputer(self.graph, plan, cfg)
+        return CandidateComputer(self.graph, plan, cfg)
 
     def _build_report(
         self,

@@ -581,8 +581,7 @@ def run_kernel(
         sanitizer=sanitizer,
         tracer=tracer,
         last_level=plan.size - 1,
-        count_leaves=(on_match is None and sanitizer is None
-                      and computer.supports_count_only),
+        count_leaves=on_match is None and sanitizer is None,
     )
     state.tasks = [WarpTask(w, state) for w in device.warps]
     state.block_active = [0] * device.num_blocks

@@ -2,7 +2,7 @@
 
 Each method of :class:`LevelOps` does one step of the vectorized
 ``getCandidates`` — the NumPy work *and* the ``Warp`` charge / tracer
-call that goes with it — so the charge sequence of the fast tiers is
+call that goes with it — so the charge sequence of both tiers is
 written exactly once.  The interpreted tier
 (``CandidateComputer.compute_frame``) and the emitted kernels
 (``repro.codegen.emit``) both only decide *which* of these to call, in
@@ -10,7 +10,7 @@ the order :func:`repro.core.lowering.lower` fixed.
 
 Candidate data flows as ``(values, segments)`` pairs: all slots'
 elements in one segment-sorted array.  Charges equal the per-slot
-reference path's call for call (same amounts, same order); the three
+Fig. 7 reference's (``tests/oracle.py``) call for call (same amounts, same order); the three
 count-only leaves charge what materializing and filtering their
 candidates would have cost, without building them.  Graph reads go
 through the graph-read API (``neighbors``, ``neighbors_batch``,
@@ -253,16 +253,15 @@ class LevelOps:
         need: int,
         count_only: bool,
         sets: dict[int, Segmented],
-        pin: int | None = None,
     ) -> Frame | np.ndarray:
         """Filter the level's raw candidates and build the frame (or,
         ``count_only``, the per-slot counts).
 
-        Injectivity, the symmetry floor, the level label, the degree
-        need and an anchored run's ``pin`` are independent elementwise
-        predicates, so one fused mask replaces the reference path's
-        sequential compactions (same surviving set, same one
-        ``charge_filter`` over the unfiltered size).
+        Injectivity, the symmetry floor, the level label and the degree
+        need are independent elementwise predicates, so one fused mask
+        replaces the per-slot reference's sequential compactions (same
+        surviving set, same one ``charge_filter`` over the unfiltered
+        size).
         """
         cvals, csegs = cand
         nslots = slot_arr.size
@@ -283,8 +282,6 @@ class LevelOps:
                 keep &= self._labels_of(cvals) == label
             if need > 1:
                 keep &= self._degrees_of(cvals) >= need
-            if pin is not None:
-                keep &= cvals == pin
             csegs = csegs[keep]
             if warp is not None:
                 warp.charge_filter(total)

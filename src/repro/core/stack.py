@@ -72,12 +72,6 @@ class Frame:
             rem += self.cand[u].size
         return rem
 
-    def advance_slot(self) -> bool:
-        """Move to the next unrolled slot; False when all are consumed."""
-        self.uiter += 1
-        self.iter = 0
-        return self.uiter < self.nslots
-
     def set_instance(self, sid: int, slot: int | None = None) -> np.ndarray:
         """Raw array of set ``sid`` for ``slot`` (default: active slot)."""
         u = self.uiter if slot is None else slot

@@ -53,7 +53,6 @@ def _config_dict(config: Any) -> dict[str, Any]:
         "local_steal": config.local_steal,
         "global_steal": config.global_steal,
         "code_motion": config.code_motion,
-        "fastpath": config.fastpath,
         "codegen": config.codegen,
         "max_results": config.max_results,
         "checkpoint_interval": config.checkpoint_interval,

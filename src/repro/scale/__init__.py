@@ -17,8 +17,8 @@ axes that compose:
   transparently re-homes a graph onto a memory-mapped twin at engine
   construction.  Matches *and* simulated cycles are byte-identical to
   the in-memory backend (the arrays are equal; only the OS pager
-  changes), which is the same identity contract the fastpath, process
-  and codegen backends honor.
+  changes), which is the same identity contract the process and
+  codegen backends honor.
 * :mod:`repro.scale.partition` — **1-hop-replicated vertex-range
   partitioning**: shard ``i`` of ``P`` owns a contiguous vertex range
   plus a replicated copy of its boundary neighborhood

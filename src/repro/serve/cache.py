@@ -36,7 +36,7 @@ RESULT_CACHE_MAX = 4096
 def _config_key(config: "EngineConfig") -> tuple[Any, ...]:
     """The config fields a *count* depends on.
 
-    Executor, worker counts, observability, codegen and fastpath are
+    Executor, worker counts, observability and codegen are
     identity-preserving by contract (counts are byte-identical across
     backends), so they are deliberately NOT in the key — a count
     computed on the pool serves an interpreted request and vice versa.

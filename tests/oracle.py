@@ -1,7 +1,7 @@
-"""Brute-force golden-count oracle (NetworkX VF2).
+"""Brute-force golden-count oracle (NetworkX VF2) and the per-slot reference.
 
 The engine's test suite so far pinned *differential* identities
-(fastpath vs reference, observed vs unobserved, faulted vs fault-free)
+(walk vs reference, observed vs unobserved, faulted vs fault-free)
 — all of which a systematically wrong engine could satisfy.  This
 module provides ground truth: an independent NetworkX-based counter
 and a small corpus of seeded graphs whose exact counts are checked in
@@ -23,7 +23,15 @@ sides disagree on semantics.
 The module also keeps the ``k!`` enumeration the library used before
 its stabilizer-chain search (:func:`bruteforce_automorphisms`,
 :func:`bruteforce_restrictions`) as the differential reference for
-:mod:`repro.pattern.symmetry`.
+:mod:`repro.pattern.symmetry`; a pinned VF2 count
+(:func:`count_pinned_monomorphisms`) as the reference for anchored
+``frontier_count`` runs; and the literal per-slot Fig. 7
+``getCandidates`` (:class:`ReferenceCandidateComputer`, run through
+:class:`ReferenceEngine`) that the production walk's matches *and*
+simulated cycle charges are checked against.
+
+The module imports only ``repro`` and third-party packages (never
+``tests``): ``benchmarks/perf/workloads.py`` loads it by file path.
 
 Regenerate the fixture after changing the corpus::
 
@@ -40,10 +48,18 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 
+from repro.codemotion.depgraph import BaseKind, OpKind
+from repro.core.candidates import CandidateComputer
+from repro.core.config import EngineConfig
+from repro.core.engine import STMatchEngine
+from repro.core.stack import Frame, WarpStack
 from repro.graph.csr import CSRGraph
 from repro.graph.labels import assign_random_labels, relabel_query_consistently
 from repro.pattern import QUERIES
+from repro.pattern.plan import MatchingPlan
 from repro.pattern.query import QueryGraph
+from repro.virtgpu.setops import combined_set_op
+from repro.virtgpu.warp import Warp
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_counts.json"
 
@@ -143,6 +159,45 @@ def count_oracle(graph: CSRGraph, query: QueryGraph) -> int:
     return num_mono // num_aut
 
 
+def count_pinned_monomorphisms(
+    graph: CSRGraph,
+    query: QueryGraph,
+    order: "list[int] | tuple[int, ...]",
+    pins: dict[int, int],
+) -> int:
+    """VF2 count of the monomorphisms φ of ``query`` into ``graph`` with
+    ``φ(order[i]) = pins[i]`` for every pinned position ``i``.
+
+    No symmetry breaking and no ``/|Aut|``: this is what an anchored
+    plan (``symmetry_breaking=False`` with matching order ``order``)
+    counts under the same pins.  Each pin becomes a node attribute both
+    sides must agree on, and VF2 extends its mapping in the query
+    graph's node order, so the pinned query vertices go first and every
+    partial mapping it explores already respects the pins.
+    """
+    if len(set(pins.values())) < len(pins):
+        return 0  # two positions on one data vertex: not injective
+    if not all(0 <= v < graph.num_vertices for v in pins.values()):
+        return 0
+    g_nx = graph.to_networkx()
+    plain = query.to_networkx()
+    first = [order[i] for i in sorted(pins)]
+    q_nx = nx.Graph()
+    q_nx.add_nodes_from((u, plain.nodes[u]) for u in first + [u for u in order if u not in first])
+    q_nx.add_edges_from(plain.edges)
+    for i, v in pins.items():
+        g_nx.nodes[v]["pin"] = i
+        q_nx.nodes[order[i]]["pin"] = i
+    labeled = query.is_labeled
+
+    def node_match(gn: dict, qn: dict) -> bool:
+        return (gn.get("pin") == qn.get("pin")
+                and (not labeled or gn.get("label") == qn.get("label")))
+
+    matcher = nx.algorithms.isomorphism.GraphMatcher(g_nx, q_nx, node_match=node_match)
+    return sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+
+
 def golden_count_after_edits(
     graph: CSRGraph,
     query: QueryGraph,
@@ -191,6 +246,133 @@ def seeded_edit_batch(
         if u != v and (u, v) not in present and (u, v) not in inserts:
             inserts.append((u, v))
     return inserts, deletes
+
+
+class ReferenceCandidateComputer(CandidateComputer):
+    """The literal per-slot Fig. 7 ``getCandidates``: every unrolled
+    slot resolves its own bases and operands, runs the warp-combined
+    set operations (Fig. 8, :func:`~repro.virtgpu.setops.combined_set_op`)
+    and filters its candidates in sequential compactions.
+
+    Apart from the constructor's tables (label LUTs, degrees, slot
+    capacity) it shares nothing with the production walk — no lowered
+    program, no ``LevelOps`` — yet must issue the same cycle charges in
+    the same order, so engine runs through it reproduce
+    matches, cycles and steal counts byte for byte.  With
+    ``count_only`` it still builds the frame and returns its per-slot
+    sizes.
+    """
+
+    def __init__(self, graph: CSRGraph, plan: MatchingPlan, config: EngineConfig) -> None:
+        super().__init__(graph, plan, config)
+        q = plan.query
+        # a candidate set that also feeds deeper sets carries a merged
+        # multi-label filter (Fig. 10b): iteration re-filters to the
+        # level's own label
+        self._level_label: list[int | None] = (
+            [int(x) for x in q.labels] if q.labels is not None else [None] * plan.size)
+        self._degree_need = [
+            int(q.adj[lv].sum() + (q.adj[:, lv].sum() if q.directed else 0))
+            for lv in range(plan.size)
+        ] if config.degree_filter else None
+
+    def compute_frame(self, warp, stack, level, slot_vertices, count_only=False):
+        slot_vertices = np.asarray(slot_vertices, dtype=np.int32)
+        if slot_vertices.size == 0:
+            raise ValueError("a frame needs at least one slot")
+        frame = self._frame(warp, stack, level, slot_vertices)
+        if count_only:
+            return np.asarray([c.size for c in frame.cand], dtype=np.int64)
+        return frame
+
+    def _frame(self, warp: Warp | None, stack: WarpStack, level: int,
+               slot_vertices: np.ndarray) -> Frame:
+        nslots = int(slot_vertices.size)
+        m_prefix = stack.match_up_to(level - 1)  # positions 0..level-2
+        frame_sets: dict[int, list[np.ndarray]] = {}
+
+        def operand(position: int, slot: int, inbound: bool) -> np.ndarray:
+            """Out- (or in-) neighbor list of the vertex at ``position``."""
+            v = int(slot_vertices[slot]) if position == level - 1 else m_prefix[position]
+            return self.graph.in_neighbors(v) if inbound else self.graph.neighbors(v)
+
+        def set_data(sid: int, slot: int) -> np.ndarray:
+            if self.program.recipes[sid].level == level:
+                return frame_sets[sid][slot]
+            return stack.frames[self.program.recipes[sid].level].set_instance(sid)
+
+        for sid in self.program.sets_at_level[level]:
+            r = self.program.recipes[sid]
+            if r.base is BaseKind.NEIGHBORS:
+                bases = [operand(r.base_arg, u, r.base_inbound) for u in range(nslots)]
+            elif r.base is BaseKind.REF:
+                bases = [set_data(r.base_arg, u) for u in range(nslots)]
+            else:  # ALL only appears at level 0, handled by root_frame
+                raise AssertionError("ALL base outside the root frame")
+            if not r.ops:
+                # explicit neighbor-list copy into C (e.g. C1 = N(v0))
+                current = [self._apply_label_filter(b.copy(), r.label_filter) for b in bases]
+                if warp is not None:
+                    warp.charge_copy(sum(b.size for b in bases))
+            else:
+                current = bases
+                for op in r.ops:
+                    operands = [operand(op.position, u, op.inbound) for u in range(nslots)]
+                    diff = [op.kind is OpKind.DIFFERENCE] * nslots
+                    current = combined_set_op(warp, current, operands, diff)
+                current = [self._apply_label_filter(c, r.label_filter) for c in current]
+            if warp is not None:  # host-memory penalty past the slot capacity
+                over = sum(max(0, c.size - self.slot_capacity) for c in current)
+                if over:
+                    warp.charge(warp.cost.host_access * warp.cost.rounds(over))
+            frame_sets[sid] = current
+
+        sid_c = self.program.candidate_of_level[level]
+        cand: list[np.ndarray] = []
+        total_filtered = 0
+        for u in range(nslots):
+            raw = set_data(sid_c, u)
+            cand.append(self._filter(raw, level, m_prefix, int(slot_vertices[u])))
+            total_filtered += raw.size
+        if warp is not None and total_filtered:
+            warp.charge_filter(total_filtered)
+        return Frame(level=level, slot_vertices=slot_vertices, cand=cand, sets=frame_sets)
+
+    def _filter(self, raw: np.ndarray, level: int, m_prefix: list[int],
+                slot_vertex: int) -> np.ndarray:
+        """The level's label, degree need, symmetry floor and injectivity."""
+        arr = raw
+        lab = self._level_label[level]
+        if lab is not None and arr.size:
+            arr = arr[self.graph.labels[arr] == lab]
+        if self._degree_need is not None and arr.size:
+            need = self._degree_need[level]
+            if need > 1:
+                arr = arr[self._graph_degree[arr] >= need]
+        # symmetry breaking: a candidate must exceed every restricted
+        # earlier match; candidate arrays are sorted, so slice
+        floor = -1
+        for i in self.plan.restrictions[level]:
+            floor = max(floor, slot_vertex if i == level - 1 else m_prefix[i])
+        if floor >= 0 and arr.size:
+            arr = arr[np.searchsorted(arr, floor, side="right"):]
+        # injectivity: drop already-matched vertices
+        if arr.size:
+            used = m_prefix + [slot_vertex]
+            mask = np.isin(arr, np.asarray(used, dtype=arr.dtype), invert=True)
+            if not mask.all():
+                arr = arr[mask]
+        return arr
+
+
+class ReferenceEngine(STMatchEngine):
+    """An :class:`STMatchEngine` whose launches run
+    :class:`ReferenceCandidateComputer` — never the codegen tier, so
+    ``REPRO_CODEGEN=1`` cannot turn a reference run into a production
+    one."""
+
+    def _make_computer(self, plan: MatchingPlan, cfg: EngineConfig) -> CandidateComputer:
+        return ReferenceCandidateComputer(self.graph, plan, cfg)
 
 
 #: seeds of the checked-in mutated-graph fixture cells

@@ -2,8 +2,8 @@
 
 The mutation gate seeds the four protocol bugs the analyzer exists to
 catch — a double re-queue, a checkpoint inside a donation window, a
-stale fastpath operand alias, a post-teardown absorb — and asserts each
-one trips exactly the matching rule (X509, X508, L307, X510), while the
+stale operand alias in the lowered walk, a post-teardown absorb — and
+asserts each one trips exactly the matching rule (X509, X508, L307, X510), while the
 clean counterparts stay silent.
 """
 
@@ -338,7 +338,7 @@ def test_builtin_plans_pass_lifetime_rules(name):
     assert not list(rep), rep.render(min_severity=Severity.NOTE)
 
 
-def test_l308_notes_sanitizer_fastpath_conflict():
+def test_l308_notes_sanitizer_disables_count_only_leaves():
     plan = build_plan(QUERIES["q3"])
     rep = check_lifetimes(plan.program, EngineConfig(sanitize=True))
     (d,) = list(rep)

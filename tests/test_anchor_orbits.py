@@ -1,11 +1,13 @@
 """Arc orbits of ``Aut(Q)``: the partition and the bijection behind it.
 
-``repro.dynamic.incremental`` launches one pinned run per orbit of query
-arcs and multiplies by the orbit size.  Two things make that exact and
-are pinned here: ``repro.pattern.symmetry.arc_orbits`` is the orbit
-partition (against the ``k!`` enumeration in ``tests/oracle.py``, code
-not under test), and every arc of an orbit really has the same anchored
-count as its representative on arbitrary data graphs.
+``repro.dynamic.incremental`` runs one anchored ``frontier_count`` per
+orbit of query arcs and multiplies by the orbit size.  Two things make
+that exact and are pinned here: ``repro.pattern.symmetry.arc_orbits``
+is the orbit partition (against the ``k!`` enumeration in
+``tests/oracle.py``, code not under test), and every arc of an orbit
+really has the same anchored count as its representative on arbitrary
+data graphs (``tests/test_frontier.py`` holds every one of these
+anchored counts to a pinned VF2 count).
 """
 
 import functools
@@ -13,15 +15,13 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig
-from repro.core.engine import STMatchEngine
+from repro.core.frontier import frontier_count
 from repro.dynamic.incremental import _anchor_order
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
 from repro.pattern import QueryGraph, build_plan, get_query
 from repro.pattern.plan import MatchingPlan
 from repro.pattern.symmetry import arc_orbits
-from repro.virtgpu.device import DeviceConfig
 
 from tests import oracle
 
@@ -89,9 +89,8 @@ def _anchored_plan(q: QueryGraph, a: int, b: int) -> MatchingPlan:
     return build_plan(q, symmetry_breaking=False, order=_anchor_order(q, a, b))
 
 
-def _anchored_count(engine: STMatchEngine, q: QueryGraph, a: int, b: int,
-                    u: int, v: int) -> int:
-    return engine.run(_anchored_plan(q, a, b), pins={0: u, 1: v}).matches
+def _anchored_count(g, q: QueryGraph, a: int, b: int, u: int, v: int) -> int:
+    return frontier_count(g, _anchored_plan(q, a, b), {0: u, 1: v})
 
 
 BIJECTION_CASES = [
@@ -105,23 +104,21 @@ BIJECTION_CASES = [
 
 @pytest.mark.parametrize("q", BIJECTION_CASES)
 def test_every_arc_of_an_orbit_counts_like_its_representative(q):
-    cfg = EngineConfig(device=DeviceConfig(num_blocks=1, warps_per_block=1))
     sigmas = oracle.bruteforce_automorphisms(q)
     total = 0
     for seed in (5, 6):
         g = powerlaw_cluster(18, 6, 0.9, seed=seed)
         if q.is_labeled:
             g = assign_random_labels(g, num_labels=2, seed=seed)
-        engine = STMatchEngine(g, cfg)
         edges = sorted(g.edges())
         pinned = [e for u, v in edges[:: len(edges) // 3][:3] for e in ((u, v), (v, u))]
         for (a, b), size in arc_orbits(q):
             orbit = sorted({(s[a], s[b]) for s in sigmas})
             assert len(orbit) == size and orbit[0] == (a, b)
             for u, v in pinned:
-                want = _anchored_count(engine, q, a, b, u, v)
+                want = _anchored_count(g, q, a, b, u, v)
                 total += want
                 for a2, b2 in orbit[1:]:
-                    assert _anchored_count(engine, q, a2, b2, u, v) == want, (
+                    assert _anchored_count(g, q, a2, b2, u, v) == want, (
                         q.name, (a, b), (a2, b2), (u, v))
     assert total > 0  # the comparison was not 0 == 0 throughout

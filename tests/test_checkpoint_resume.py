@@ -131,7 +131,7 @@ class TestResume:
     def test_resume_with_sanitizer(self, graph):
         # X505 conservation must hold across the checkpoint boundary
         # (seed_outstanding adopts the restored stacks' roots)
-        cfg = EngineConfig(checkpoint_interval=1, sanitize=True, fastpath=False)
+        cfg = EngineConfig(checkpoint_interval=1, sanitize=True)
         base = STMatchEngine(graph, cfg.with_(checkpoint_interval=None)) \
             .run(get_query("q7"))
         _, resumed = self._kill_and_resume(graph, cfg, get_query("q7"))

@@ -1,11 +1,12 @@
 """The compiled codegen tier's contract: byte-identical everything.
 
-``EngineConfig.codegen`` swaps the interpreted plan-IR fast path for a
-per-(query, schedule) emitted Python module (``repro.codegen``).  The
-generated kernels must issue identical cycle charges in identical
-order, so every observable — match count, simulated cycle total, run
-status, steal counts, budget truncation point — is byte-identical
-across all three backends (reference, interpreted fastpath, codegen).
+``EngineConfig.codegen`` swaps the interpreted walk of the lowered
+program for a per-(query, schedule) emitted Python module
+(``repro.codegen``).  The generated kernels must issue identical cycle
+charges in identical order, so every observable — match count,
+simulated cycle total, run status, steal counts, budget truncation
+point — is byte-identical across all three backends (the per-slot
+reference in ``tests/oracle.py``, the interpreted walk, codegen).
 These tests pin that 3-way identity over the paper's q1–q13 ×
 labeled/unlabeled × unroll factors, check engine counts against the
 golden-count oracle fixture, exercise the sanitizer and the process
@@ -37,6 +38,7 @@ from repro.graph.labels import assign_random_labels, relabel_query_consistently
 from repro.parallel import shutdown_pools
 from repro.pattern import QUERIES
 from tests import oracle
+from tests.oracle import ReferenceCandidateComputer, ReferenceEngine
 
 QUERY_NAMES = [f"q{i}" for i in range(1, 14)]
 
@@ -75,13 +77,10 @@ def _fingerprint(res):
 
 
 def _run_three_way(graph, query, **cfg_kw):
-    """Reference, interpreted fastpath, and codegen runs of one cell."""
-    ref = STMatchEngine(
-        graph, EngineConfig(fastpath=False, **cfg_kw)).run(query)
-    fast = STMatchEngine(
-        graph, EngineConfig(fastpath=True, **cfg_kw)).run(query)
-    cg = STMatchEngine(
-        graph, EngineConfig(fastpath=True, codegen=True, **cfg_kw)).run(query)
+    """Reference, interpreted walk, and codegen runs of one cell."""
+    ref = ReferenceEngine(graph, EngineConfig(**cfg_kw)).run(query)
+    fast = STMatchEngine(graph, EngineConfig(**cfg_kw)).run(query)
+    cg = STMatchEngine(graph, EngineConfig(codegen=True, **cfg_kw)).run(query)
     return ref, fast, cg
 
 
@@ -91,7 +90,7 @@ def _assert_three_way(ref, fast, cg):
 
 
 class TestThreeWayIdentity:
-    """q1–q13 × labeling: reference == fastpath == codegen."""
+    """q1–q13 × labeling: reference == walk == codegen."""
 
     @pytest.mark.parametrize("qname", QUERY_NAMES)
     @pytest.mark.parametrize("labeled", [False, True],
@@ -117,8 +116,7 @@ class TestThreeWayIdentity:
         plan = cached_plan(g, QUERIES["q4"])
         clear_code_cache(reset_stats=True)
         kernels = [
-            compiled_kernel(plan, EngineConfig(fastpath=True, codegen=True,
-                                               unroll=unroll))
+            compiled_kernel(plan, EngineConfig(codegen=True, unroll=unroll))
             for unroll in (1, 4, 8)
         ]
         assert kernels[0] is kernels[1] is kernels[2]
@@ -131,9 +129,9 @@ class TestThreeWayIdentity:
         g = _random_graph(20, 0.4, seed=3)
         q = QUERIES["q4"]
         runs = [
-            STMatchEngine(g, EngineConfig(fastpath=fp, codegen=cg)).run(
-                q, vertex_induced=True)
-            for fp, cg in ((False, False), (True, False), (True, True))
+            engine(g, EngineConfig(codegen=cg)).run(q, vertex_induced=True)
+            for engine, cg in ((ReferenceEngine, False), (STMatchEngine, False),
+                               (STMatchEngine, True))
         ]
         _assert_three_way(*runs)
 
@@ -173,7 +171,7 @@ class TestGoldenCounts:
         if mode == "labeled":
             g, q = oracle.labeled_pair(g, q)
         res = STMatchEngine(
-            g, EngineConfig(fastpath=True, codegen=True)).run(q)
+            g, EngineConfig(codegen=True)).run(q)
         assert res.status == RunStatus.OK, repr(res)
         assert res.matches == fixture["counts"][gname][mode][qname]
 
@@ -187,12 +185,10 @@ class TestProcessExecutor:
         g = oracle.corpus_graphs()["sparse"]
         q = QUERIES["q5"]
         serial = run_multi_gpu(
-            g, q, 2, EngineConfig(fastpath=True, codegen=True,
-                                  executor="serial"))
+            g, q, 2, EngineConfig(codegen=True, executor="serial"))
         process = run_multi_gpu(
-            g, q, 2, EngineConfig(fastpath=True, codegen=True,
-                                  executor="process", num_workers=2))
-        baseline = run_multi_gpu(g, q, 2, EngineConfig(fastpath=True))
+            g, q, 2, EngineConfig(codegen=True, executor="process", num_workers=2))
+        baseline = run_multi_gpu(g, q, 2, EngineConfig())
         assert serial.ok
         assert process.matches == serial.matches == baseline.matches
         assert process.sim_ms == serial.sim_ms == baseline.sim_ms
@@ -204,7 +200,7 @@ class TestProcessExecutor:
 class TestEmissionDeterminism:
     def test_reemit_is_byte_identical(self):
         g = _random_graph(26, 0.3, seed=11)
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(codegen=True)
         for qname in QUERY_NAMES:
             plan = cached_plan(g, QUERIES[qname])
             first = emit_kernel_source(plan, cfg)
@@ -215,7 +211,7 @@ class TestEmissionDeterminism:
         # one cache key, one emitted module
         g1 = _random_graph(26, 0.3, seed=11)
         g2 = _random_graph(40, 0.2, seed=23)
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(codegen=True)
         p1 = cached_plan(g1, QUERIES["q5"])
         p2 = cached_plan(g2, QUERIES["q5"], order=tuple(p1.order))
         assert codegen_key(p1, cfg) == codegen_key(p2, cfg)
@@ -224,7 +220,7 @@ class TestEmissionDeterminism:
     def test_source_has_no_graph_constants(self):
         g = _random_graph(26, 0.3, seed=11)
         src = emit_kernel_source(cached_plan(g, QUERIES["q3"]),
-                                 EngineConfig(fastpath=True))
+                                 EngineConfig())
         # graph state is only reachable through the computer instance C
         for forbidden in (str(g.num_vertices), "indices[", "labels["):
             assert forbidden not in src.replace("slot_arr + 1", "")
@@ -234,7 +230,7 @@ class TestCodeCache:
     def test_compile_once_then_hit(self):
         g = _random_graph(26, 0.3, seed=11)
         plan = cached_plan(g, QUERIES["q2"])
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(codegen=True)
         clear_code_cache(reset_stats=True)
         k1 = compiled_kernel(plan, cfg)
         k2 = compiled_kernel(plan, cfg)
@@ -259,7 +255,7 @@ class TestCodeCache:
 
     def test_plan_cache_counters_exposed(self):
         g = _random_graph(20, 0.3, seed=17)
-        cfg = EngineConfig(fastpath=True, codegen=True)
+        cfg = EngineConfig(codegen=True)
         before = plan_cache_stats(g)["hits"]
         eng = STMatchEngine(g, cfg)
         eng.run(QUERIES["q1"])
@@ -271,7 +267,7 @@ class TestCodeCache:
     def test_observed_report_carries_cache_counters(self):
         g = _random_graph(20, 0.3, seed=17)
         res = STMatchEngine(
-            g, EngineConfig(fastpath=True, codegen=True, observe=True)
+            g, EngineConfig(codegen=True, observe=True)
         ).run(QUERIES["q1"])
         caches = res.report["caches"]
         for name in ("plan", "codegen"):
@@ -283,15 +279,19 @@ class TestCodeCache:
 
 
 class TestConfigAndLint:
-    def test_codegen_requires_fastpath(self):
-        with pytest.raises(ValueError, match="fastpath"):
-            EngineConfig(fastpath=False, codegen=True)
+    def test_env_override_never_reaches_reference_runs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CODEGEN", "1")
+        g = _random_graph(20, 0.3, seed=17)
+        plan = cached_plan(g, QUERIES["q5"])
+        cfg = EngineConfig(codegen=True)
+        computer = ReferenceEngine(g, cfg)._make_computer(plan, cfg)
+        assert type(computer) is ReferenceCandidateComputer
 
     def test_b408_registered_and_fires(self, monkeypatch):
         assert "B408" in RULE_REGISTRY
         g = _random_graph(20, 0.3, seed=17)
         plan = cached_plan(g, QUERIES["q5"])
-        cfg = EngineConfig(fastpath=True)
+        cfg = EngineConfig()
         quiet = lint_budget(plan, cfg, g)
         assert "B408" not in [d.rule for d in quiet.diagnostics]
         import repro.codegen.emit as emit
@@ -309,8 +309,8 @@ class TestConfigAndLint:
             monkeypatch.delenv("REPRO_CODEGEN", raising=False)
         else:
             monkeypatch.setenv("REPRO_CODEGEN", raw)
-        cfg = EngineConfig(fastpath=True, codegen=True)
-        off = EngineConfig(fastpath=True, codegen=False)
+        cfg = EngineConfig(codegen=True)
+        off = EngineConfig(codegen=False)
         if expect is None:  # defer to the config
             assert resolve_codegen(cfg) is True
             assert resolve_codegen(off) is False
@@ -321,14 +321,14 @@ class TestConfigAndLint:
     def test_repro_codegen_env_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN", "maybe")
         with pytest.raises(ValueError, match="REPRO_CODEGEN"):
-            resolve_codegen(EngineConfig(fastpath=True))
+            resolve_codegen(EngineConfig())
 
     def test_env_override_flips_backend(self, monkeypatch):
         # REPRO_CODEGEN=1 turns the compiled tier on without touching
         # call sites — and the results stay identical by contract
         g = _random_graph(22, 0.3, seed=19)
         q = QUERIES["q3"]
-        plain = STMatchEngine(g, EngineConfig(fastpath=True)).run(q)
+        plain = STMatchEngine(g, EngineConfig()).run(q)
         monkeypatch.setenv("REPRO_CODEGEN", "1")
-        forced = STMatchEngine(g, EngineConfig(fastpath=True)).run(q)
+        forced = STMatchEngine(g, EngineConfig()).run(q)
         assert _fingerprint(plain) == _fingerprint(forced)

@@ -32,12 +32,6 @@ class TestFrame:
         assert f.remaining_active() == 0
         assert f.remaining_total() == 3
 
-    def test_advance_slot(self):
-        f = make_frame(1, [A(1), A(2)], it=1)
-        assert f.advance_slot()
-        assert f.uiter == 1 and f.iter == 0
-        assert not f.advance_slot()
-
     def test_active_vertex_root(self):
         f = Frame(level=0, slot_vertices=np.empty(0, dtype=np.int64), cand=[A(1, 2)])
         assert f.active_vertex == -1

@@ -23,6 +23,7 @@ from repro.graph.csr import CSRGraph
 from repro.pattern import QUERIES
 
 from tests import oracle
+from tests.oracle import ReferenceEngine
 
 QUERY_NAMES = [f"q{i}" for i in range(1, 14)]
 SEQUENCE_SEEDS = [0, 1]
@@ -208,16 +209,16 @@ class TestFixturePinned:
 class TestOverlayEngineEquivalence:
     def test_engine_runs_directly_on_overlay(self):
         # the whole point of the read-API contract: counts on the
-        # overlay equal counts on the compacted CSR, fastpath included
+        # overlay equal counts on the compacted CSR, the per-slot
+        # reference included
         g, q = _prepare("q4", True, 0)
         inserts, deletes = oracle.seeded_edit_batch(g, seed=9)
         ov = OverlayGraph.from_edits(
             g, EditBatch.from_lists(inserts=inserts, deletes=deletes))
         compact = ov.compact()
-        for fastpath in (False, True):
-            cfg = EngineConfig(fastpath=fastpath)
-            a = STMatchEngine(ov, cfg).run(q)
-            b = STMatchEngine(compact, cfg).run(q)
+        for engine in (ReferenceEngine, STMatchEngine):
+            a = engine(ov).run(q)
+            b = engine(compact).run(q)
             assert a.matches == b.matches
 
     @pytest.mark.parametrize("induced", [False, True],

@@ -1,12 +1,13 @@
-"""The fast path's contract: byte-identical matches AND cycles.
+"""The lowered walk's contract: byte-identical matches AND cycles.
 
-`EngineConfig.fastpath` swaps the per-slot reference `getCandidates`
-for the vectorized segmented backend (docs/PERFORMANCE.md).  The
-backends must issue identical cycle charges in identical order, which
-makes every observable — match count, cycle total, steal counts,
-budget truncation point — byte-identical.  These tests pin that over
-random graphs × the paper's queries × labeled/unlabeled × unroll
-factors, plus the count-only leaf and `on_match` emission paths.
+Production `getCandidates` walks the plan's lowered program on
+segmented arrays (docs/PERFORMANCE.md); `tests/oracle.py` keeps the
+literal per-slot Fig. 7 transliteration as `ReferenceEngine`.  The two
+must issue identical cycle charges in identical order, which makes
+every observable — match count, cycle total, steal counts, budget
+truncation point — byte-identical.  These tests pin that over random
+graphs × the paper's queries × labeled/unlabeled × unroll factors,
+plus the count-only leaf and `on_match` emission paths.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from repro import EngineConfig, STMatchEngine
 from repro.graph import CSRGraph
 from repro.graph.labels import assign_random_labels, relabel_query_consistently
 from repro.pattern import QUERIES
+
+from tests.oracle import ReferenceEngine
 
 
 def _random_graph(n: int, density: float, seed: int) -> CSRGraph:
@@ -33,8 +36,8 @@ def _labeled_pair(g, q, num_labels=3, seed=7):
 
 
 def _run_pair(graph, query, **cfg_kw):
-    ref = STMatchEngine(graph, EngineConfig(fastpath=False, **cfg_kw)).run(query)
-    fast = STMatchEngine(graph, EngineConfig(fastpath=True, **cfg_kw)).run(query)
+    ref = ReferenceEngine(graph, EngineConfig(**cfg_kw)).run(query)
+    fast = STMatchEngine(graph, EngineConfig(**cfg_kw)).run(query)
     return ref, fast
 
 
@@ -76,8 +79,8 @@ class TestFastpathPinsReference:
     def test_vertex_induced_semantics(self):
         g = _random_graph(20, 0.4, seed=3)
         q = QUERIES["q4"]
-        ref = STMatchEngine(g, EngineConfig(fastpath=False)).run(q, vertex_induced=True)
-        fast = STMatchEngine(g, EngineConfig(fastpath=True)).run(q, vertex_induced=True)
+        ref = ReferenceEngine(g).run(q, vertex_induced=True)
+        fast = STMatchEngine(g).run(q, vertex_induced=True)
         _assert_identical(ref, fast)
 
     def test_degree_filter_extension(self):
@@ -95,10 +98,8 @@ class TestFastpathPinsReference:
     def test_bitmap_index_changes_nothing(self):
         """The adjacency bitmap is a host-side lookup: cycles unchanged."""
         g = _random_graph(30, 0.5, seed=13)
-        base = STMatchEngine(g, EngineConfig(fastpath=True)).run(QUERIES["q2"])
-        bm = STMatchEngine(
-            g, EngineConfig(fastpath=True, bitmap_threshold=1)
-        ).run(QUERIES["q2"])
+        base = STMatchEngine(g).run(QUERIES["q2"])
+        bm = STMatchEngine(g, EngineConfig(bitmap_threshold=1)).run(QUERIES["q2"])
         assert base.matches == bm.matches
         assert base.cycles == bm.cycles
 
@@ -109,11 +110,9 @@ class TestOnMatchEmission:
         g = _random_graph(16, 0.35, seed=17)
         q = QUERIES["q2"]
         seen = {}
-        for fast in (False, True):
+        for fast, engine in ((False, ReferenceEngine), (True, STMatchEngine)):
             out = []
-            STMatchEngine(g, EngineConfig(fastpath=fast)).run(
-                q, on_match=out.append
-            )
+            engine(g).run(q, on_match=out.append)
             seen[fast] = out
         assert seen[False] == seen[True]  # same tuples, same order
         assert len(seen[True]) > 0
@@ -123,10 +122,8 @@ class TestOnMatchEmission:
         g = _random_graph(16, 0.35, seed=17)
         q = QUERIES["q3"]
         out = []
-        emitted = STMatchEngine(g, EngineConfig(fastpath=True)).run(
-            q, on_match=out.append
-        )
-        counted = STMatchEngine(g, EngineConfig(fastpath=True)).run(q)
+        emitted = STMatchEngine(g).run(q, on_match=out.append)
+        counted = STMatchEngine(g).run(q)
         assert emitted.matches == counted.matches == len(out)
         # count-only leaves vs materialized leaves: same simulated clock
         assert emitted.cycles == counted.cycles
@@ -134,8 +131,8 @@ class TestOnMatchEmission:
 
 class TestSanitizerCompatibility:
     def test_sanitized_run_still_identical(self):
-        """sanitize=True disables count-only leaves but not the backend
-        contract: both backends satisfy the sanitizer and agree."""
+        """sanitize=True disables count-only leaves but not the
+        contract: walk and reference satisfy the sanitizer and agree."""
         g = _random_graph(18, 0.35, seed=21)
         ref, fast = _run_pair(g, QUERIES["q4"], sanitize=True)
         _assert_identical(ref, fast)

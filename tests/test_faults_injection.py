@@ -170,7 +170,7 @@ class TestInjectedKernelFailures:
     def test_steal_loss_with_sanitizer(self, graph):
         # the reabsorb path must not trip X501/X502/X505
         q = get_query("q7")
-        cfg = EngineConfig(sanitize=True, fastpath=False)
+        cfg = EngineConfig(sanitize=True)
         base = STMatchEngine(graph, cfg).run(q)
         dev = VirtualDevice()
         dev.attach_injector(FaultInjector(0, steal_losses=50))

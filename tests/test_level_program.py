@@ -10,7 +10,8 @@ charges), so it gets ordinary unit tests:
 * every count-only leaf equals the generic fused-filter path — per-slot
   counts *and* the recorded charge / tracer stream — on randomly built
   stacks, on simple, self-loop, directed and overlay graphs, with warm
-  and invalidated memos; a pinned last level makes the leaf stand down;
+  and invalidated memos, and the walk equals the per-slot reference in
+  ``tests/oracle.py``;
 * a leaf plans once per parent slot and replays per batch: every window
   of a parent array equals the generic path evaluated on that batch
   alone, across steal splits, reabsorbed tails, moved prefixes and
@@ -38,6 +39,8 @@ from repro.graph.labels import assign_random_labels
 from repro.pattern import QUERIES, build_plan
 from repro.virtgpu.device import VirtualDevice
 from repro.virtgpu.warp import Warp
+
+from tests.oracle import ReferenceCandidateComputer
 
 ALL_QUERIES = [f"q{i}" for i in range(1, 25)]
 
@@ -376,7 +379,7 @@ def test_random_window_sequences_equal_uncached_evaluation(seed, kind, data):
 
 
 # ---------------------------------------------------------------------------
-# the walk: leaf on, leaf off (frame path), reference path, pins
+# the walk: leaf on, leaf off (frame path), per-slot reference
 # ---------------------------------------------------------------------------
 
 
@@ -415,7 +418,7 @@ def test_walk_leaf_equals_frame_path_and_reference(gname):
     for q in queries:
         plan = build_plan(q)
         fast = CandidateComputer(graph, plan, EngineConfig(max_degree=8))
-        ref = CandidateComputer(graph, plan, EngineConfig(max_degree=8, fastpath=False))
+        ref = ReferenceCandidateComputer(graph, plan, EngineConfig(max_degree=8))
         last = plan.size - 1
         seen.add(fast.levels[-1].leaf)
         for _ in range(12):
@@ -431,17 +434,6 @@ def test_walk_leaf_equals_frame_path_and_reference(gname):
             assert counts.tolist() == windowed.tolist() == [x.size for x in frame.cand] == \
                 [x.size for x in oracle.cand]
             assert _stream(a) == _stream(w) == _stream(b) == _stream(c)
-            # a pinned last level: the leaf must stand down
-            pin = int(frame.cand[0][0]) if frame.cand[0].size else int(batch[0])
-            pinned = CandidateComputer(graph, plan, EngineConfig(max_degree=8), pins={last: pin})
-            pinned_ref = CandidateComputer(graph, plan, EngineConfig(max_degree=8, fastpath=False),
-                                           pins={last: pin})
-            d, e = _warp(), _warp()
-            got = pinned.compute_frame(d, stack, last, batch, count_only=True)
-            want = pinned_ref.compute_frame(e, stack, last, batch)
-            assert got.tolist() == [x.size for x in want.cand]
-            assert max(got.tolist()) <= 1
-            assert _stream(d) == _stream(e)
     if not graph.directed:
         assert seen == set(Leaf)
 

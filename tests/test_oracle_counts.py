@@ -1,7 +1,7 @@
 """Golden-count oracle: engine counts == brute-force NetworkX counts.
 
-Every other correctness test in the suite is *differential* (fastpath
-vs reference, observed vs unobserved, faulted vs fault-free) — a
+Every other correctness test in the suite is *differential* (walk vs
+per-slot reference, observed vs unobserved, faulted vs fault-free) — a
 systematically wrong engine could pass them all.  This file pins the
 engine to ground truth: the checked-in fixture
 ``tests/fixtures/golden_counts.json`` holds exact counts for
@@ -20,9 +20,14 @@ Three layers of defense:
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import EngineConfig, STMatchEngine
+from repro.core.candidates import CandidateComputer
 from repro.core.counters import RunStatus
 from repro.pattern import QUERIES
 
@@ -124,3 +129,20 @@ class TestLiveOracleSpotCheck:
         if mode == "labeled":
             g, q = oracle.labeled_pair(g, q)
         assert oracle.count_oracle(g, q) == fixture["counts"][gname][mode][qname]
+
+
+def test_oracle_module_loads_standalone(monkeypatch):
+    """``benchmarks/perf/workloads.py::golden_checks`` loads
+    ``tests/oracle.py`` by file path and reads an ``ImportError`` as "no
+    golden checks", so the module must import without the ``tests``
+    package: hide it, then load the file the way the bench does."""
+    for name in [m for m in sys.modules if m.startswith("tests.")] + ["tests"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    spec = importlib.util.spec_from_file_location("oracle", Path(oracle.__file__))
+    assert spec is not None and spec.loader is not None
+    standalone = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(standalone)
+    assert sorted(standalone.load_fixture()["counts"]) == sorted(GRAPH_NAMES)
+    assert issubclass(standalone.ReferenceCandidateComputer, CandidateComputer)
+    assert issubclass(standalone.ReferenceEngine, STMatchEngine)
+    assert callable(standalone.count_pinned_monomorphisms)

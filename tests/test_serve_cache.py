@@ -45,7 +45,6 @@ class TestResultCacheUnit:
         variants = [
             base.with_(executor="process", num_workers=4),
             base.with_(codegen=True),
-            base.with_(fastpath=False),
         ]
         k = ResultCache.key("g", 1, QUERIES["q1"], False, base)
         for v in variants:

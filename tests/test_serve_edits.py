@@ -4,8 +4,8 @@ Covers the PR's serve-layer contract: ``ResultCache.invalidate_graph``
 takes a version (entries of *other* versions survive),
 ``MatchService.apply_edits`` bumps the version and carries patched
 exact counts forward instead of dropping the cache wholesale, and
-pinned engine runs (the anchoring primitive underneath it all) are
-backend-identical and partition the total count.
+pinned ``frontier_count`` runs (the anchoring primitive underneath it
+all) equal a pinned VF2 count and partition the total count.
 """
 
 import numpy as np
@@ -13,11 +13,14 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import STMatchEngine
+from repro.core.frontier import frontier_count
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_cluster
-from repro.pattern import QUERIES
+from repro.pattern import QUERIES, build_plan
 from repro.pattern.symmetry import arc_orbits
 from repro.serve import MatchRequest, MatchService, ResultCache
+
+from tests.oracle import ReferenceEngine, count_pinned_monomorphisms
 
 
 def _graph(seed: int = 1, n: int = 24) -> CSRGraph:
@@ -152,35 +155,28 @@ class TestApplyEdits:
 
 
 class TestPinnedRuns:
-    """The anchoring primitive: pinned levels restrict, backends agree,
-    and pinned root counts partition the total."""
+    """The anchoring primitive: pinned levels restrict exactly as VF2
+    does, and pinned root counts partition each backend's total."""
 
     def test_pins_partition_the_count(self):
         g = _graph(seed=2, n=18)
         q = QUERIES["q1"]
         eng = STMatchEngine(g)
         plan = eng.plan(q)
-        total = eng.run(plan).matches
-        parts = [eng.run(plan, pins={0: v}).matches
-                 for v in range(g.num_vertices)]
-        assert sum(parts) == total
+        parts = [frontier_count(g, plan, {0: v}) for v in range(g.num_vertices)]
+        assert sum(parts) == eng.run(plan).matches > 0
 
-    @pytest.mark.parametrize("fastpath", [False, True],
+    @pytest.mark.parametrize("engine_cls", [ReferenceEngine, STMatchEngine],
                              ids=["reference", "fastpath"])
-    def test_backends_agree_under_pins(self, fastpath):
+    def test_backends_agree_under_pins(self, engine_cls):
+        # pinned frontier counts equal pinned VF2, and the root-pinned
+        # counts partition the total of both the per-slot reference and
+        # the production walk ("fastpath" keeps the historical id)
         g = _graph(seed=2, n=18)
         q = QUERIES["q4"]
-        ref = STMatchEngine(g, EngineConfig(fastpath=False))
-        alt = STMatchEngine(g, EngineConfig(fastpath=fastpath))
+        plan = build_plan(q, symmetry_breaking=False)
         for pins in ({0: 3}, {1: 5}, {0: 3, 1: 5}, {2: 0}):
-            assert ref.run(q, pins=pins).matches == \
-                alt.run(q, pins=pins).matches
-
-    def test_pins_bypass_codegen_tier(self):
-        g = _graph(seed=2, n=18)
-        q = QUERIES["q1"]
-        eng = STMatchEngine(g, EngineConfig(codegen=True))
-        # a pinned run must not hit the compiled (pin-free) kernels
-        pinned = sum(eng.run(q, pins={0: v}).matches
-                     for v in range(g.num_vertices))
-        assert pinned == STMatchEngine(g).count(q)
+            assert frontier_count(g, plan, pins) == \
+                count_pinned_monomorphisms(g, q, plan.order, pins), pins
+        parts = [frontier_count(g, plan, {0: v}) for v in range(g.num_vertices)]
+        assert sum(parts) == engine_cls(g).run(plan).matches > 0
