@@ -24,7 +24,8 @@ O(depth × budget) whatever the frontier's total size.
 
 The cycle-accounted path is ``STMatchEngine.run``; this one serves
 callers that need only the exact count (``repro.dynamic.count_delta``'s
-anchored runs).  Graph reads go through the graph-read API only
+anchored runs, and ``MatchService``'s exact requests through
+``count_only`` shards in ``repro.parallel.executor``).  Graph reads go through the graph-read API only
 (``neighbors``, ``neighbors_batch``, ``degree``, ``labels``), so
 overlays and memmap twins serve their own rows.
 """

@@ -118,6 +118,15 @@ class ShardSpec:
     routes the shard through the recovery ladder with the fault plan
     armed (``range_key`` / ``attempt_offset`` as in
     :func:`repro.faults.recovery.run_with_recovery`).
+
+    ``count_only=True`` asks for the exact count and nothing else: the
+    shard is answered by :func:`repro.core.frontier.frontier_count`
+    with no device, so its result reports ``system="frontier"`` and
+    zero cycles — no simulated run happened, so none are invented.
+    ``MatchService`` sets it for exhaustive, undirected, unfaulted,
+    unobserved requests of tenants without a cycle quota.  The other
+    fields are then ignored: the count is over the whole root range,
+    with no recovery ladder.
     """
 
     index: int
@@ -129,6 +138,7 @@ class ShardSpec:
     range_key: tuple | None = None
     attempt_offset: int = 0
     max_retries: int = 3
+    count_only: bool = False
 
 
 def default_num_workers() -> int:
@@ -173,6 +183,14 @@ def _execute_shard(
     from repro.core.engine import STMatchEngine
     from repro.virtgpu.device import VirtualDevice
 
+    if spec.count_only:
+        from repro.core.frontier import frontier_count
+        from repro.scale.backend import resolve_graph_backend, with_backend
+
+        # read the residency backend's twin, as STMatchEngine would
+        graph = with_backend(graph, resolve_graph_backend(config))
+        return RunResult(system="frontier", matches=frontier_count(graph, plan),
+                         status=RunStatus.OK)
     if spec.vertex_range is not None:
         # scale mode: this shard owns a contiguous vertex range — run it
         # on the 1-hop-replicated view (memoized per range on the graph,

@@ -21,6 +21,14 @@ from client threads.  The execution pipeline, in order:
    failures); rung 1 steps down to an interpreted in-thread run; rung
    2 additionally truncates the exploration budget.  Every stepped-down
    answer is marked ``degraded=True`` with the reason in ``detail``.
+   On every rung, a request that needs only the exact count — no
+   budget (after tenant, request and rung-2 caps), undirected graph
+   and query, no armed fault plan, no ``sanitize`` / ``observe`` /
+   ``checkpoint_interval`` — runs its shard ``count_only``:
+   :func:`~repro.core.frontier.frontier_count` answers it without the
+   simulator, and the response reports zero ``cycles``.  Tenants with a
+   ``cycle_quota`` stay on the simulator, so their bill stays in
+   simulated cycles.
 5. **Commit** — served responses with an idempotency key commit into
    the service :class:`~repro.faults.recovery.RecoveryLedger` exactly
    once (X506 across request boundaries); the bounded window evicts
@@ -123,8 +131,8 @@ class EditReport:
     num_deletes: int  #: effective deletes (after normalization)
     entries_patched: int  #: cache entries carried forward (count + delta)
     entries_invalidated: int  #: old-version entries dropped instead
-    #: pinned kernel launches spent on the deltas: per patched entry, one
-    #: per (effective edge, arc-orbit representative of its query)
+    #: anchored ``frontier_count`` calls spent on the deltas: per distinct
+    #: cached query, one per (effective edge, arc-orbit representative)
     anchor_runs: int
     wall_s: float
 
@@ -215,6 +223,7 @@ class MatchService:
         self._pressure_threshold = pressure_threshold
         self._degrade_budget = degrade_budget
         self._fault_plan = fault_plan
+        self._chaos = fault_plan is not None and not fault_plan.empty
         self._log: "SupportsEmit | None" = (
             _LockedLog(protocol_log) if protocol_log is not None else None)
         self._ledger = RecoveryLedger(log=self._log)
@@ -510,7 +519,8 @@ class MatchService:
 
         if level == 0 and use_pool:
             run, attempts, pool_detail = self._run_pool(
-                graph, plan, cfg, token, num_workers, deadline)
+                graph, plan, cfg, token, num_workers, deadline,
+                self._count_only(request, graph, policy, cfg))
             if run is not None and not is_pool_infra_failure(run):
                 return self._finish_run(request, rid, version, policy, cfg,
                                         ckey, run, degraded=False, level=0,
@@ -540,7 +550,8 @@ class MatchService:
             cfg = cfg.with_(codegen=False)
         # rungs 1-2 (and rung 0 under a serial executor): the request's
         # attempt-0 shard, run in the request thread
-        run = run_shards(graph, plan, cfg, [self._shard(token, 0)],
+        shard = self._shard(token, 0, self._count_only(request, graph, policy, cfg))
+        run = run_shards(graph, plan, cfg, [shard],
                          num_workers=1, fault_plan=self._fault_plan)[0]
         attempts += 1
         degraded = level > 0
@@ -578,6 +589,7 @@ class MatchService:
         token: str,
         num_workers: int,
         deadline: float | None,
+        count_only: bool,
     ) -> tuple[RunResult | None, int, str]:
         """Rung 0: the process pool, breaker-guarded, seeded retry with
         exponential backoff + jitter on pool-infrastructure failures."""
@@ -601,7 +613,7 @@ class MatchService:
             if remaining is not None:
                 timeout = remaining if timeout is None else min(timeout, remaining)
             last = run_shards(
-                graph, plan, cfg, [self._shard(token, attempt)],
+                graph, plan, cfg, [self._shard(token, attempt, count_only)],
                 num_workers=num_workers,
                 fault_plan=self._fault_plan, timeout_s=timeout,
                 protocol_log=self._log, in_process_fallback=False)[0]
@@ -619,17 +631,29 @@ class MatchService:
                 time.sleep(pause)
         return last, attempts, detail
 
-    def _shard(self, token: str, attempt: int) -> ShardSpec:
+    def _count_only(self, request: MatchRequest, graph: "CSRGraph",
+                    policy: TenantPolicy, cfg: EngineConfig) -> bool:
+        """Whether the exact count is all this run must produce, so the
+        frontier answers it instead of the simulator: an exhaustive,
+        undirected request with no armed fault plan, no sanitizer,
+        observer or checkpoints, from a tenant not billed in cycles."""
+        return (cfg.max_results is None
+                and not (graph.directed or request.query.directed)
+                and not self._chaos
+                and not (cfg.sanitize or cfg.observe)
+                and cfg.checkpoint_interval is None
+                and policy.cycle_quota is None)
+
+    def _shard(self, token: str, attempt: int, count_only: bool) -> ShardSpec:
         """The request's one shard at service attempt ``attempt``: the
         whole root range on device 0, through the recovery ladder when a
         chaos plan is armed so counts stay identical to the fault-free
-        run."""
-        chaos = self._fault_plan is not None and not self._fault_plan.empty
+        run, or on the frontier when ``count_only``."""
         return ShardSpec(
-            index=0, device_id=0, recover=chaos,
-            range_key=("serve", token) if chaos else None,
+            index=0, device_id=0, recover=self._chaos,
+            range_key=("serve", token) if self._chaos else None,
             attempt_offset=request_attempt_offset(token, attempt),
-            max_retries=ATTEMPT_STRIDE - 1)
+            max_retries=ATTEMPT_STRIDE - 1, count_only=count_only)
 
     # -- response assembly -------------------------------------------------
 

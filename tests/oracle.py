@@ -23,8 +23,9 @@ sides disagree on semantics.
 The module also keeps the ``k!`` enumeration the library used before
 its stabilizer-chain search (:func:`bruteforce_automorphisms`,
 :func:`bruteforce_restrictions`) as the differential reference for
-:mod:`repro.pattern.symmetry`; a pinned VF2 count
-(:func:`count_pinned_monomorphisms`) as the reference for anchored
+:mod:`repro.pattern.symmetry`; a pinned backtracking count
+(:func:`count_pinned_embeddings`, itself checked against the pinned VF2
+count :func:`count_pinned_monomorphisms`) as the reference for anchored
 ``frontier_count`` runs; and the literal per-slot Fig. 7
 ``getCandidates`` (:class:`ReferenceCandidateComputer`, run through
 :class:`ReferenceEngine`) that the production walk's matches *and*
@@ -196,6 +197,60 @@ def count_pinned_monomorphisms(
 
     matcher = nx.algorithms.isomorphism.GraphMatcher(g_nx, q_nx, node_match=node_match)
     return sum(1 for _ in matcher.subgraph_monomorphisms_iter())
+
+
+def count_pinned_embeddings(
+    graph: CSRGraph,
+    query: QueryGraph,
+    order: "list[int] | tuple[int, ...]",
+    pins: dict[int, int],
+) -> int:
+    """What :func:`count_pinned_monomorphisms` counts, by plain-Python
+    backtracking over adjacency sets in ``order``.
+
+    Position ``i`` takes ``pins[i]`` when pinned, else the intersection
+    of its mapped back-neighbors' adjacency sets (every vertex when it
+    has none), minus vertices already used and, for labeled queries,
+    vertices of another label.  It shares no code with the library's
+    set operations, and is cheap enough to be the per-cell reference
+    of the pinned frontier tests; VF2 stays its own check on one cell
+    per query.
+    """
+    n = graph.num_vertices
+    adj = [set(graph.neighbors(v).tolist()) for v in range(n)]
+    labels = graph.labels.tolist() if query.is_labeled else None
+    qlabels = query.labels.tolist() if query.is_labeled else None
+    back = [[j for j in range(i) if query.connects(order[i], order[j])]
+            for i in range(len(order))]
+    mapped: list[int] = []
+
+    def candidates(i: int) -> set[int]:
+        if i in pins:
+            cands = {pins[i]} if 0 <= pins[i] < n else set()
+        elif back[i]:
+            cands = set(adj[mapped[back[i][0]]])
+        else:
+            cands = set(range(n))
+        for j in back[i]:
+            cands &= adj[mapped[j]]
+        cands.difference_update(mapped)
+        if labels is not None:
+            want = qlabels[order[i]]
+            cands = {v for v in cands if labels[v] == want}
+        return cands
+
+    def extend(i: int) -> int:
+        cands = candidates(i)
+        if i == len(order) - 1:
+            return len(cands)
+        total = 0
+        for v in cands:
+            mapped.append(v)
+            total += extend(i + 1)
+            mapped.pop()
+        return total
+
+    return extend(0)
 
 
 def golden_count_after_edits(

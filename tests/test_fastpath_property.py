@@ -95,13 +95,20 @@ class TestFastpathPinsReference:
         _assert_identical(ref, fast)
         assert ref.matches >= 500  # the budget actually fired
 
-    def test_bitmap_index_changes_nothing(self):
-        """The adjacency bitmap is a host-side lookup: cycles unchanged."""
+    def test_bitmap_index_changes_nothing(self, monkeypatch):
+        """The adjacency bitmap is a host-side lookup: cycles unchanged.
+
+        It exists on in-memory graphs only, so the backend is pinned to
+        memory here; a memory-mapped graph must refuse it (rule B409)."""
+        monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
         g = _random_graph(30, 0.5, seed=13)
         base = STMatchEngine(g).run(QUERIES["q2"])
         bm = STMatchEngine(g, EngineConfig(bitmap_threshold=1)).run(QUERIES["q2"])
         assert base.matches == bm.matches
         assert base.cycles == bm.cycles
+        memmap = STMatchEngine(g, EngineConfig(bitmap_threshold=1, graph_backend="memmap"))
+        with pytest.raises(ValueError, match="B409"):
+            memmap.run(QUERIES["q2"])
 
 
 class TestOnMatchEmission:
