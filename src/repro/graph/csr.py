@@ -169,8 +169,7 @@ class CSRGraph:
             src = np.empty(0, dtype=np.int64)
             dst = np.empty(0, dtype=np.int32)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(indptr=indptr, indices=dst, labels=labels, directed=directed, name=name)
 
     @classmethod
@@ -238,11 +237,15 @@ class CSRGraph:
         n = self.num_vertices
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError("neighbor id out of range")
-        # sorted + unique neighbor lists
-        for v in range(n):
-            row = self.indices[self.indptr[v] : self.indptr[v + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise ValueError(f"neighbor list of vertex {v} is not sorted/unique")
+        # sorted + unique neighbor lists: every step inside a row rises;
+        # the step into a row's first entry (position indptr[v]) is exempt
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < self.indices.size)] - 1] = False
+        if bad.any():
+            pos = int(np.argmax(bad)) + 1
+            v = int(np.searchsorted(self.indptr, pos, side="right")) - 1
+            raise ValueError(f"neighbor list of vertex {v} is not sorted/unique")
         if self.labels is not None:
             if self.labels.shape != (n,):
                 raise ValueError("labels must have one entry per vertex")

@@ -29,7 +29,9 @@ count :func:`count_pinned_monomorphisms`) as the reference for anchored
 ``frontier_count`` runs; and the literal per-slot Fig. 7
 ``getCandidates`` (:class:`ReferenceCandidateComputer`, run through
 :class:`ReferenceEngine`) that the production walk's matches *and*
-simulated cycle charges are checked against.
+simulated cycle charges are checked against; and the full-scan
+Holme–Kim generator (:func:`powerlaw_cluster_reference`) that the
+production generator's output is checked against.
 
 The module imports only ``repro`` and third-party packages (never
 ``tests``): ``benchmarks/perf/workloads.py`` loads it by file path.
@@ -86,6 +88,58 @@ def corpus_graphs() -> dict[str, CSRGraph]:
         "sparse": CSRGraph.from_networkx(sparse, name="sparse"),
         "dense": CSRGraph.from_networkx(dense, name="dense"),
     }
+
+
+def powerlaw_cluster_reference(
+    n: int,
+    m: int = 4,
+    p_triangle: float = 0.5,
+    seed: int = 0,
+    name: str = "plc",
+) -> CSRGraph:
+    """The straightforward Holme–Kim generator that
+    :func:`repro.graph.generators.powerlaw_cluster` must reproduce byte
+    for byte: every triangle step scans the whole edge set for
+    ``base``'s neighbors, in the set's iteration order."""
+    if m < 1 or m >= n:
+        raise ValueError("need 1 <= m < n")
+    rng = np.random.default_rng(seed)
+    # repeated-nodes list implements preferential attachment
+    repeated: list[int] = []
+    edges: set[tuple[int, int]] = set()
+
+    def add(u: int, v: int) -> None:
+        if u == v:
+            return
+        edges.add((min(u, v), max(u, v)))
+        repeated.append(u)
+        repeated.append(v)
+
+    # seed clique of m + 1 vertices
+    for u in range(m + 1):
+        for v in range(u + 1, m + 1):
+            add(u, v)
+    for u in range(m + 1, n):
+        targets: set[int] = set()
+        # first target: preferential
+        t = int(repeated[rng.integers(len(repeated))])
+        targets.add(t)
+        while len(targets) < m:
+            if rng.random() < p_triangle:
+                # close a triangle: neighbor of an existing target
+                base = int(rng.choice(list(targets)))
+                nbrs = [b if a == base else a for (a, b) in edges if base in (a, b)]
+                nbrs = [x for x in nbrs if x != u and x not in targets]
+                if nbrs:
+                    targets.add(int(nbrs[int(rng.integers(len(nbrs)))]))
+                    continue
+            cand = int(repeated[rng.integers(len(repeated))])
+            if cand != u:
+                targets.add(cand)
+        for t in targets:
+            add(u, t)
+    e = np.asarray(sorted(edges), dtype=np.int64)
+    return CSRGraph.from_edges(n, e, name=name)
 
 
 def labeled_pair(graph: CSRGraph, query: QueryGraph) -> tuple[CSRGraph, QueryGraph]:

@@ -68,6 +68,30 @@ class TestInvariants:
         with pytest.raises(ValueError):
             CSRGraph(indptr=np.array([0, 2, 2]), indices=np.array([1, 0], dtype=np.int32))
 
+    def test_validate_names_unsorted_middle_row(self):
+        # rows 0..3 = [1, 3], [], [3, 0, 2], [1]: row starts are exempt
+        # from the rising check, so only vertex 2's 3 -> 0 step fails
+        with pytest.raises(ValueError, match="vertex 2 is not sorted"):
+            CSRGraph(indptr=np.array([0, 2, 2, 5, 6]),
+                     indices=np.array([1, 3, 3, 0, 2, 1], dtype=np.int32))
+
+    def test_validate_names_duplicate_in_last_row(self):
+        with pytest.raises(ValueError, match="vertex 3 is not sorted"):
+            CSRGraph(indptr=np.array([0, 1, 2, 2, 4]),
+                     indices=np.array([3, 3, 0, 0], dtype=np.int32))
+
+    def test_validate_accepts_empty_rows(self):
+        # descending steps across row boundaries, with empty rows between
+        g = CSRGraph(indptr=np.array([0, 0, 2, 2, 2, 3, 3]),
+                     indices=np.array([3, 5, 1], dtype=np.int32))
+        assert g.degree().tolist() == [0, 2, 0, 0, 1, 0]
+        CSRGraph(indptr=np.zeros(4, dtype=np.int64), indices=np.empty(0, dtype=np.int32))
+
+    def test_from_edges_indptr_counts_rows(self):
+        g = CSRGraph.from_edges(6, [(0, 4), (4, 5), (2, 4)])
+        assert g.indptr.dtype == np.int64
+        assert g.indptr.tolist() == [0, 1, 1, 2, 2, 5, 6]
+
     def test_validate_rejects_label_shape(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edges(3, [(0, 1)], labels=[1, 2])
