@@ -27,6 +27,9 @@ With ``--ops`` it instead wraps every public ``LevelOps`` method and
 per call for each — inclusive: ``gather_slots`` and ``leaf_flipped``
 contain the ``neighbors_batch`` calls they make.  That is the table a
 step's fixed cost is read from (a frame step is a handful of these).
+For the three count-only leaves it also prints ``plans``, the calls
+that built a parent slot's plan rather than replayed one (read from
+``LevelOps._memo`` around each call), and their mean µs.
 
 It is the source of docs/PERFORMANCE.md § "Where the time goes"; the
 timer adds ~0.3 µs per step, so read the columns against each other,
@@ -53,6 +56,7 @@ from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.virtgpu.scheduler import EventScheduler, StepResult  # noqa: E402
 
 ENGINE_WORKLOADS = ("dense_count", "sparse_enum", "cold_first_query")
+LEAVES = ("leaf_gather_free", "leaf_flipped", "leaf_tally")
 
 
 class StepMeter:
@@ -127,13 +131,22 @@ class StepMeter:
         return "leaf"
 
 
+def _plan_of(ops: LevelOps, stack: object) -> object:
+    """The leaf plan ``stack`` holds in ``ops`` (``None``: none)."""
+    ent = ops._memo.get(id(stack))
+    return None if ent is None else ent.plan
+
+
 class CallMeter:
     """Wraps every public ``LevelOps`` method and
-    ``CSRGraph.neighbors_batch``; counts calls and inclusive seconds."""
+    ``CSRGraph.neighbors_batch``; counts calls and inclusive seconds,
+    and for a count-only leaf, the calls that built a new plan."""
 
     def __init__(self) -> None:
         self.count: Counter[str] = Counter()
         self.seconds: Counter[str] = Counter()
+        self.plans: Counter[str] = Counter()
+        self.plan_seconds: Counter[str] = Counter()
         self._saved = [(LevelOps, name, fn) for name, fn in vars(LevelOps).items()
                        if callable(fn) and not name.startswith("_")]
         self._saved.append((CSRGraph, "neighbors_batch", CSRGraph.neighbors_batch))
@@ -148,6 +161,8 @@ class CallMeter:
             setattr(owner, name, fn)
 
     def _timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        if name in LEAVES:
+            return self._leaf_timed(name, fn)
         count, seconds = self.count, self.seconds
 
         def timed(*args: Any, **kwargs: Any) -> Any:
@@ -160,13 +175,37 @@ class CallMeter:
 
         return timed
 
+    def _leaf_timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        count, seconds = self.count, self.seconds
+        plans, plan_seconds = self.plans, self.plan_seconds
+
+        def timed(ops: LevelOps, warp: Any, stack: object, *args: Any) -> Any:
+            before = _plan_of(ops, stack)
+            t0 = time.perf_counter()
+            try:
+                return fn(ops, warp, stack, *args)
+            finally:
+                dt = time.perf_counter() - t0
+                seconds[name] += dt
+                count[name] += 1
+                if _plan_of(ops, stack) is not before:
+                    plans[name] += 1
+                    plan_seconds[name] += dt
+
+        return timed
+
 
 def report_ops(name: str, meter: CallMeter) -> None:
     print(f"== {name}: NumPy-step calls (inclusive host time)")
-    print(f"  {'call':<18} {'calls':>8} {'seconds':>8} {'us/call':>8}")
+    print(f"  {'call':<18} {'calls':>8} {'seconds':>8} {'us/call':>8} {'plans':>8} {'us/plan':>8}")
     for call, n in meter.count.most_common():
         s = meter.seconds[call]
-        print(f"  {call:<18} {n:>8} {s:>8.3f} {s / n * 1e6:>8.1f}")
+        line = f"  {call:<18} {n:>8} {s:>8.3f} {s / n * 1e6:>8.1f}"
+        planned = meter.plans[call]
+        if call in LEAVES:
+            per_plan = f"{meter.plan_seconds[call] / planned * 1e6:>8.1f}" if planned else ""
+            line += f" {planned:>8} {per_plan:>8}"
+        print(line)
 
 
 def report(name: str, meter: StepMeter) -> None:

@@ -57,16 +57,23 @@ class Operand(NamedTuple):
 class _LeafMemo:
     """One stack's count-only leaf state: the plan of one parent slot
     (``cand`` under ``prefix`` and the ``shared`` set; ``None`` until
-    planned) and ``known``, which lives as long as ``shared`` does."""
+    planned) and ``table``, which lives as long as ``shared`` does.
 
-    __slots__ = ("cand", "prefix", "shared", "plan", "known")
+    ``table`` is built by the first ``leaf_flipped`` plan under a shared
+    set ``ref`` and read by every later one: ``(keys, hits, members)``
+    — the sorted distinct vertices of the reverse rows of ``ref``, how
+    many rows list each (``hits[i] = |{r ∈ ref : keys[i] ∈ N_rev(r)}|``),
+    and ``ref`` as a Python set.  Its size is Σ deg(ref), not n.
+    """
+
+    __slots__ = ("cand", "prefix", "shared", "plan", "table")
 
     def __init__(self, shared: np.ndarray | None) -> None:
         self.cand: np.ndarray | None = None
         self.prefix: list[int] = []
         self.shared = shared
         self.plan: Any = None
-        self.known: dict[int, int] = {}
+        self.table: tuple[np.ndarray, np.ndarray, set[int]] | None = None
 
 
 def _floor(m_prefix: list[int], positions: tuple[int, ...]) -> int:
@@ -339,12 +346,15 @@ class LevelOps:
             ent.cand, ent.prefix, ent.plan = cand, list(m_prefix), None
         return ent
 
-    def _running(self, sizes: np.ndarray) -> tuple[list[int], list[int] | None]:
+    def _running(self, sizes: np.ndarray, most: int | None = None,
+                 ) -> tuple[list[int], list[int] | None]:
         """Running sums (Python ints, leading 0) of per-candidate set
         sizes and of what each spills past one ``C`` slot (``None``:
-        none does), so a window's totals are two subtractions."""
+        none does), so a window's totals are two subtractions.  ``most``
+        is an upper bound on the sizes, when the caller has one: at or
+        under the slot capacity nothing spills and no max is taken."""
         over = None
-        if int(sizes.max()) > self.cap:
+        if (most is None or most > self.cap) and int(sizes.max()) > self.cap:
             over = [0] + np.maximum(sizes - self.cap, 0).cumsum().tolist()
         return [0] + sizes.cumsum().tolist(), over
 
@@ -361,10 +371,18 @@ class LevelOps:
     def _drop_used(self, counts: np.ndarray, cand: np.ndarray, used: list[int],
                    inbound: bool) -> None:
         """Uncount each used vertex where it is adjacent to the
-        candidate (w ∈ N(v) ⟺ v ∈ N_reverse(w))."""
+        candidate (w ∈ N(v) ⟺ v ∈ N_reverse(w), as w ≠ v): the used
+        vertices' reverse rows, gathered into one sorted array, list a
+        candidate once per used vertex it is adjacent to."""
+        if not used:
+            return
         rev = self._graph(not inbound)
-        for w in used:
-            counts -= member_sorted(rev.neighbors(w), cand)
+        rows = [rev.neighbors(w) for w in used]
+        # the two or three rows a plan drops: concatenated slices time
+        # below one neighbors_batch (docs/PERFORMANCE.md, "Count-only
+        # leaves from the shared set's side")
+        hay = rows[0] if len(rows) == 1 else np.sort(np.concatenate(rows))
+        counts -= hay.searchsorted(cand, "right") - hay.searchsorted(cand, "left")
 
     def leaf_gather_free(self, warp: Warp | None, stack: WarpStack, win: Window,
                          m_prefix: list[int], inbound: bool) -> np.ndarray:
@@ -393,32 +411,41 @@ class LevelOps:
     def leaf_flipped(self, warp: Warp | None, stack: WarpStack, win: Window,
                      m_prefix: list[int], ref: np.ndarray, inbound: bool) -> np.ndarray:
         """Candidates are ``ref ∩ N(slot)`` for a shared earlier set
-        ``ref``: probe each slot's neighbors against ``ref`` (once per
-        vertex while ``ref`` lives) instead of tiling ``ref`` per slot.
-        Charges: set_op(|ref| · nslots), spill, filter(kept), as tiled.
+        ``ref``, counted from ``ref``'s side: r ∈ N(v) ⟺ v ∈ N_rev(r),
+        so one reverse gather of ``ref``'s rows, reduced to per-vertex
+        hit counts (``_LeafMemo.table``, once per stack and ``ref``),
+        answers every slot by a sorted lookup — no row of a candidate
+        is read.  Charges: set_op(|ref| · nslots, longest row in the
+        window), spill, filter(kept), as tiled.
         """
         cand, lo, hi = win
         ent = self._leaf_memo(stack, cand, m_prefix, ref)
         if ent.plan is None:
-            g = self._graph(inbound)
-            known = ent.known  # vertex -> |ref ∩ N(vertex)|
-            kept = np.array([known.get(v, -1) for v in cand.tolist()], dtype=np.int64)
-            miss = kept < 0
-            if miss.any():
-                mv = cand[miss]
-                nb_v, nb_o = g.neighbors_batch(mv)
-                cs = np.zeros(nb_v.size + 1, dtype=np.int64)
-                member_sorted(ref, nb_v).cumsum(out=cs[1:])
-                got = cs[nb_o[1:]] - cs[nb_o[:-1]]
-                kept[miss] = got
-                known.update(zip(mv.tolist(), got.tolist()))
-            counts = kept.copy()
-            loops = self.self_loops(inbound)
+            if ent.table is None:
+                vals, _ = self._graph(not inbound).neighbors_batch(ref)
+                keys, hits = np.unique(vals, return_counts=True)
+                ent.table = (keys, hits.astype(np.int64, copy=False), set(ref.tolist()))
+            keys, hits, members = ent.table
+            if keys.size:
+                pos = keys.searchsorted(cand)
+                kept = hits.take(pos, mode="clip")
+                kept[keys.take(pos, mode="clip") != cand] = 0
+            else:
+                kept = np.zeros(cand.size, dtype=np.int64)
+            # The two views can disagree only at r = v: a reversed view
+            # drops self-loops (CSRGraph.reversed_view), so r = v counts
+            # in the table by N_rev's loops and in N(v) by N's own.
+            loops, rloops = self.self_loops(inbound), self.self_loops(not inbound)
+            if loops is not None or rloops is not None:
+                own = member_sorted(ref, cand)
+                if rloops is not None:
+                    kept -= own & rloops[cand]
+            counts = kept.copy()  # a candidate is never the slot itself
             if loops is not None:
-                counts -= member_sorted(ref, cand) & loops[cand]
-            hits = member_sorted(ref, np.asarray(m_prefix, dtype=ref.dtype)).tolist()
-            self._drop_used(counts, cand, [w for w, hit in zip(m_prefix, hits) if hit], inbound)
-            ent.plan = (counts, np.asarray(g.degree())[cand].tolist(), self._running(kept))
+                kept += own & loops[cand]
+            self._drop_used(counts, cand, [w for w in m_prefix if w in members], inbound)
+            widths = np.asarray(self._graph(inbound).degree())[cand].tolist()
+            ent.plan = (counts, widths, self._running(kept, int(ref.size)))
         counts, widths, sums = ent.plan
         if warp is not None:
             nslots = hi - lo

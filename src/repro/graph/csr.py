@@ -357,7 +357,11 @@ class CSRGraph:
 
         Directed pattern matching needs both ``N_out`` and ``N_in``
         (arcs from and into a matched vertex).  Undirected graphs return
-        ``self``.
+        ``self``.  The view is rebuilt through :meth:`from_edges`, so a
+        directed graph's self-loops are *dropped* from it: ``v`` may be
+        in ``neighbors(v)`` but never in ``in_neighbors(v)``.  Engines
+        rely on this as is (it fixes the inbound charges on such graphs);
+        code that inverts adjacency through the view must correct r = v.
         """
         if not self.directed:
             return self
@@ -377,7 +381,8 @@ class CSRGraph:
 
     def in_neighbors(self, v: int) -> np.ndarray:
         """Sorted in-neighbor list (equals :meth:`neighbors` when
-        undirected)."""
+        undirected).  Never lists ``v`` itself on a directed graph:
+        :meth:`reversed_view` drops self-loops."""
         return self.reversed_view().neighbors(v)
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -85,6 +85,17 @@ class TestReversedView:
         assert g.reversed_view() is g
         assert list(g.in_neighbors(1)) == list(g.neighbors(1))
 
+    def test_reversed_view_drops_self_loops(self):
+        # pinned: the count-only leaf_flipped corrects its r = v term for
+        # exactly this (LevelOps.self_loops on both views)
+        indptr = np.array([0, 2, 3, 3], dtype=np.int64)
+        g = CSRGraph(indptr=indptr, indices=np.array([0, 1, 1], dtype=np.int32),
+                     directed=True)  # arcs 0→0, 0→1, 1→1
+        assert list(g.neighbors(0)) == [0, 1] and list(g.neighbors(1)) == [1]
+        assert list(g.in_neighbors(0)) == []
+        assert list(g.in_neighbors(1)) == [0]
+        assert g.reversed_view().num_edges == 1
+
     def test_reverse_roundtrip(self):
         g = directed_graph(25, 0.2, seed=8)
         rr = g.reversed_view().reversed_view()

@@ -9,9 +9,11 @@ charges), so it gets ordinary unit tests:
   ``degree_filter``;
 * every count-only leaf equals the generic fused-filter path — per-slot
   counts *and* the recorded charge / tracer stream — on randomly built
-  stacks, on simple, self-loop, directed and overlay graphs, with warm
-  and invalidated memos, and the walk equals the per-slot reference in
-  ``tests/oracle.py``;
+  stacks, on simple, self-loop, directed, overlay (both directions) and
+  partition-shard graphs, with warm and invalidated memos, and the walk
+  equals the per-slot reference in ``tests/oracle.py``;
+* a flipped plan reads only its shared set's rows (once per stack and
+  set) and the used vertices' rows, never a candidate's;
 * a leaf plans once per parent slot and replays per batch: every window
   of a parent array equals the generic path evaluated on that batch
   alone, across steal splits, reabsorbed tails, moved prefixes and
@@ -37,6 +39,7 @@ from repro.graph import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
 from repro.pattern import QUERIES, build_plan
+from repro.scale import PartitionedGraph
 from repro.virtgpu.device import VirtualDevice
 from repro.virtgpu.warp import Warp
 
@@ -148,7 +151,9 @@ def _random_graph(rng, n=28, p=0.3, directed=False, self_loops=False) -> CSRGrap
 
 
 def _overlay(rng, g: CSRGraph) -> OverlayGraph:
-    edges = list(g.edges())
+    # edit batches are canonical u < v pairs: a directed overlay can
+    # delete only forward arcs (an undirected graph lists no others)
+    edges = [(u, v) for u, v in g.edges() if u < v]
     deletes = [edges[i] for i in rng.choice(len(edges), 12, replace=False)]
     n = g.num_vertices
     inserts = [(u, v) for u, v in rng.integers(0, n, (120, 2)).tolist()
@@ -162,6 +167,9 @@ GRAPHS = {
     "directed": lambda rng: _random_graph(rng, directed=True),
     "directed-self-loops": lambda rng: _random_graph(rng, directed=True, self_loops=True),
     "overlay": lambda rng: _overlay(rng, _random_graph(rng)),
+    "directed-overlay": lambda rng: _overlay(rng, _random_graph(rng, directed=True)),
+    # owns [0, 2): about half the rows are replica, the rest fallback reads
+    "partition-shard": lambda rng: PartitionedGraph.replicate(_random_graph(rng), 0, 2),
 }
 
 
@@ -273,6 +281,77 @@ class TestLeavesEqualGenericPath:
         for stack, prefix, slots, ca in _cases(rng, graph):
             _assert_leaf_is_generic("tally", ops, stack, (slots, 0, slots.size), prefix, ca,
                                     False, consts)
+
+
+@pytest.mark.parametrize("gname,inbound", [("self-loops", False),
+                                            ("directed-self-loops", False),
+                                            ("directed-self-loops", True)])
+def test_flipped_self_loop_candidate_in_ref(gname, inbound):
+    """``ref`` holds candidates that have self-loops: the one term (r = v)
+    where the reverse rows ``leaf_flipped`` counts from and the slot's
+    own row can disagree, since a reversed view drops self-loops."""
+    rng = np.random.default_rng(8)
+    graph = GRAPHS[gname](rng)
+    n = graph.num_vertices
+    loops = [v for v in range(n) if graph.has_edge(v, v)]
+    assert len(loops) >= 4
+    prefix = [v for v in range(n) if v not in loops][:3]
+    others = np.setdiff1d(np.arange(n), prefix + loops)
+    ref = np.sort(np.concatenate([loops, prefix[:1], others[::2]])).astype(np.int32)
+    slots = np.sort(np.concatenate([loops, others[:5]])).astype(np.int32)
+    ops = _ops(graph, need=False)
+    stack = _fake_stack(prefix)
+    for lo in range(0, slots.size, UNROLL):  # one plan, replayed per batch
+        _assert_leaf_is_generic("flipped", ops, stack, (slots, lo, min(lo + UNROLL, slots.size)),
+                                prefix, ref, inbound)
+
+
+def test_flipped_plans_read_only_the_shared_set_and_used_rows(monkeypatch):
+    """The shape of a flipped plan's work, pinned as a count: over a q5
+    kernel run, every graph row a ``leaf_flipped`` call reads belongs to
+    its shared set ``ref`` or to a used prefix vertex in ``ref`` — no
+    candidate's own row — and ``ref``'s rows are gathered exactly once
+    per (stack, ``ref``), however many parent slots plan under it."""
+    graph = powerlaw_cluster(60, m=5, p_triangle=0.5, seed=3)
+    plan, cfg = build_plan(QUERIES["q5"]), EngineConfig()
+    computer = CandidateComputer(graph, plan, cfg)
+    assert computer.levels[-1].leaf is Leaf.FLIPPED
+    computer.ops.self_loops(False)  # the once-per-graph scan reads every row
+    calls = []  # (stack, ref, prefix, rows read): also keeps the ids alive
+    inside = []  # the rows list of the leaf_flipped call in progress
+    flipped, batch, row = LevelOps.leaf_flipped, CSRGraph.neighbors_batch, CSRGraph.neighbors
+
+    def leaf_flipped(self, warp, stack, win, m_prefix, ref, inbound):
+        calls.append((stack, ref, list(m_prefix), []))
+        inside.append(calls[-1][3])
+        try:
+            return flipped(self, warp, stack, win, m_prefix, ref, inbound)
+        finally:
+            inside.pop()
+
+    def reading(fn, as_rows):
+        def read(self, arg):
+            if inside:
+                inside[-1].append(as_rows(arg))
+            return fn(self, arg)
+        return read
+
+    monkeypatch.setattr(LevelOps, "leaf_flipped", leaf_flipped)
+    monkeypatch.setattr(CSRGraph, "neighbors_batch", reading(batch, lambda vs: vs))
+    monkeypatch.setattr(CSRGraph, "neighbors", reading(row, lambda v: np.asarray([v])))
+    got = run_kernel(plan, cfg, computer, VirtualDevice(cfg.device)).matches
+    monkeypatch.undo()
+    assert got == run_kernel(plan, cfg, CandidateComputer(graph, plan, cfg),
+                             VirtualDevice(cfg.device)).matches > 0
+    builds = {(id(stack), id(ref)): 0 for stack, ref, _, _ in calls}
+    for stack, ref, prefix, reads in calls:
+        for rows in reads:
+            if rows is ref:
+                builds[id(stack), id(ref)] += 1
+            else:
+                assert set(rows.tolist()) <= set(prefix) & set(ref.tolist())
+    assert len(calls) > 100 and len(builds) > 10
+    assert set(builds.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
