@@ -27,9 +27,16 @@ With ``--ops`` it instead wraps every public ``LevelOps`` method and
 per call for each — inclusive: ``gather_slots`` and ``leaf_flipped``
 contain the ``neighbors_batch`` calls they make.  That is the table a
 step's fixed cost is read from (a frame step is a handful of these).
-For the three count-only leaves it also prints ``plans``, the calls
-that built a parent slot's plan rather than replayed one (read from
-``LevelOps._memo`` around each call), and their mean µs.
+A count-only leaf batch is served either by ``LevelOps.replay`` (the
+parent frame's plan covers it; the walk is never entered) or by the
+leaf method, which plans; so a leaf row counts both as its ``calls``
+and times both, and splits them into ``plans`` (calls that built a
+plan, read from ``LevelOps._memo`` around each call, with their mean
+µs) and ``replays`` (the rest).  ``frames`` is the parent frames those
+plans were built for (a steal split or a lost push re-plans the same
+frame), so ``plans/frame`` near 1 means one plan per parent frame.
+``replay miss`` is ``replay``'s calls that found no plan and went on to
+the walk.
 
 It is the source of docs/PERFORMANCE.md § "Where the time goes"; the
 timer adds ~0.3 µs per step, so read the columns against each other,
@@ -131,7 +138,7 @@ class StepMeter:
         return "leaf"
 
 
-def _plan_of(ops: LevelOps, stack: object) -> object:
+def _plan_of(ops: LevelOps, stack: object) -> Any:
     """The leaf plan ``stack`` holds in ``ops`` (``None``: none)."""
     ent = ops._memo.get(id(stack))
     return None if ent is None else ent.plan
@@ -140,13 +147,16 @@ def _plan_of(ops: LevelOps, stack: object) -> object:
 class CallMeter:
     """Wraps every public ``LevelOps`` method and
     ``CSRGraph.neighbors_batch``; counts calls and inclusive seconds,
-    and for a count-only leaf, the calls that built a new plan."""
+    and for a count-only leaf, the calls that built a new plan, the
+    batches replayed without a call, and the parent frames planned."""
 
     def __init__(self) -> None:
         self.count: Counter[str] = Counter()
         self.seconds: Counter[str] = Counter()
         self.plans: Counter[str] = Counter()
         self.plan_seconds: Counter[str] = Counter()
+        self.frames: Counter[str] = Counter()
+        self._last_frame: dict[int, object] = {}  # id(stack) -> parent frame last planned
         self._saved = [(LevelOps, name, fn) for name, fn in vars(LevelOps).items()
                        if callable(fn) and not name.startswith("_")]
         self._saved.append((CSRGraph, "neighbors_batch", CSRGraph.neighbors_batch))
@@ -163,6 +173,8 @@ class CallMeter:
     def _timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
         if name in LEAVES:
             return self._leaf_timed(name, fn)
+        if name == "replay":
+            return self._replay_timed(fn)
         count, seconds = self.count, self.seconds
 
         def timed(*args: Any, **kwargs: Any) -> Any:
@@ -188,23 +200,47 @@ class CallMeter:
                 dt = time.perf_counter() - t0
                 seconds[name] += dt
                 count[name] += 1
-                if _plan_of(ops, stack) is not before:
+                plan = _plan_of(ops, stack)
+                if plan is not before:
                     plans[name] += 1
                     plan_seconds[name] += dt
+                    # a standalone plan (frame None) is its own frame
+                    if plan.frame is None or self._last_frame.get(id(stack)) is not plan.frame:
+                        self.frames[name] += 1
+                    self._last_frame[id(stack)] = plan.frame
+
+        return timed
+
+    def _replay_timed(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """A hit counts as a call of its plan's leaf; a miss as
+        ``replay miss``."""
+        count, seconds = self.count, self.seconds
+
+        def timed(ops: LevelOps, warp: Any, stack: object, win: Any) -> Any:
+            t0 = time.perf_counter()
+            out = fn(ops, warp, stack, win)
+            dt = time.perf_counter() - t0
+            name = "replay miss" if out is None else f"leaf_{_plan_of(ops, stack).leaf.value}"
+            seconds[name] += dt
+            count[name] += 1
+            return out
 
         return timed
 
 
 def report_ops(name: str, meter: CallMeter) -> None:
     print(f"== {name}: NumPy-step calls (inclusive host time)")
-    print(f"  {'call':<18} {'calls':>8} {'seconds':>8} {'us/call':>8} {'plans':>8} {'us/plan':>8}")
+    print(f"  {'call':<18} {'calls':>8} {'seconds':>8} {'us/call':>8} {'plans':>8} {'us/plan':>8}"
+          f" {'replays':>8} {'frames':>8} {'plans/frame':>11}")
     for call, n in meter.count.most_common():
         s = meter.seconds[call]
         line = f"  {call:<18} {n:>8} {s:>8.3f} {s / n * 1e6:>8.1f}"
         planned = meter.plans[call]
         if call in LEAVES:
             per_plan = f"{meter.plan_seconds[call] / planned * 1e6:>8.1f}" if planned else ""
-            line += f" {planned:>8} {per_plan:>8}"
+            frames = meter.frames[call]
+            per_frame = f"{planned / frames:>11.2f}" if frames else ""
+            line += f" {planned:>8} {per_plan:>8} {n - planned:>8} {frames:>8} {per_frame}"
         print(line)
 
 

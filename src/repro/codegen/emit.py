@@ -147,12 +147,12 @@ def _emit_level(w: _Writer, lp: LevelProgram) -> None:
     if lp.leaf is Leaf.GATHER_FREE:
         w("if win:", 1)
         w("return ops.leaf_gather_free(warp, stack, win, m_prefix, "
-          f"{lp.gathers[0].inbound})", 2)
+          f"{lp.gathers[0].inbound}, {lp.frame_wide})", 2)
     elif lp.leaf is Leaf.FLIPPED:
         t = lp.tiles[0]
         w("if win:", 1)
         w("return ops.leaf_flipped(warp, stack, win, m_prefix, "
-          f"fr[{t.level}].set_instance({t.sid}), {lp.gathers[0].inbound})", 2)
+          f"fr[{t.level}].set_instance({t.sid}), {lp.gathers[0].inbound}, {lp.frame_wide})", 2)
     w("nslots = int(slot_arr.size)", 1)
     for i, g in enumerate(lp.gathers):
         if g.per_slot:
@@ -184,7 +184,8 @@ def _emit_level(w: _Writer, lp: LevelProgram) -> None:
         w(f"ca = fr[{lp.cand_level}].set_instance({lp.cand_sid})", 1)
         if lp.leaf is Leaf.TALLY:
             w("if win:", 1)
-            w(f"return ops.leaf_tally(warp, stack, win, m_prefix, ca, {consts})", 2)
+            w(f"return ops.leaf_tally(warp, stack, win, m_prefix, ca, {consts}, "
+              f"{lp.frame_wide})", 2)
         cand = "ops.tile(ca, nslots)"
     sets = ", ".join(f"{st.sid}: s{st.sid}" for st in lp.steps)
     w(f"return ops.finish(warp, {level}, slot_arr, m_prefix, {cand}, {consts}, "

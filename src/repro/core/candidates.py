@@ -152,11 +152,16 @@ class CandidateComputer:
         line 16) the per-slot *filtered candidate counts* are returned
         as a read-only ``int64`` array instead of a :class:`Frame`, and
         the last-level candidate arrays are never materialized.  Cycle
-        charges are identical either way.  The kernel passes the :data:`~repro.core.levelops.Window`
-        ``(cand, lo, hi)`` the batch was cut from
-        (``slot_vertices == cand[lo:hi]``) instead of ``True``, so a
-        leaf can do its host work once per parent slot rather than once
-        per batch.
+        charges are identical either way.  The kernel passes the
+        :data:`~repro.core.levelops.Window` ``(cand, lo, hi)`` the batch
+        was cut from (``slot_vertices == cand[lo:hi]``, ``cand`` the
+        top frame's active slot) instead of ``True``, so a leaf does
+        its host work once per parent frame rather than once per batch:
+        a window the plan of that frame already covers is replayed
+        (``LevelOps.replay``) before anything else — no walk, no prefix
+        rebuild — and only a window it does not cover enters the walk,
+        whose leaf plans it.  ``True`` makes the batch a standalone
+        window of itself.
         """
         slot_arr = np.asarray(slot_vertices, dtype=np.int32)
         if slot_arr.size == 0:
@@ -164,6 +169,9 @@ class CandidateComputer:
         if not count_only:
             win = None
         elif isinstance(count_only, tuple):
+            counts = self.ops.replay(warp, stack, count_only)
+            if counts is not None:
+                return counts
             win = count_only
         else:  # the batch is its own parent slot
             win = (slot_arr, 0, int(slot_arr.size))
@@ -191,11 +199,13 @@ class CandidateComputer:
         m_prefix = stack.match_up_to(level - 1)
         leaf = lp.leaf if win is not None else Leaf.NONE
         if leaf is Leaf.GATHER_FREE:
-            return ops.leaf_gather_free(warp, stack, win, m_prefix, lp.gathers[0].inbound)
+            return ops.leaf_gather_free(warp, stack, win, m_prefix, lp.gathers[0].inbound,
+                                        lp.frame_wide)
         if leaf is Leaf.FLIPPED:
             t = lp.tiles[0]
             return ops.leaf_flipped(warp, stack, win, m_prefix,
-                                    frames[t.level].set_instance(t.sid), lp.gathers[0].inbound)
+                                    frames[t.level].set_instance(t.sid), lp.gathers[0].inbound,
+                                    lp.frame_wide)
         opnds = [
             ops.gather_slots(slot_arr, g.inbound, g.keyed) if g.per_slot
             else ops.gather_prefix(m_prefix[g.position], g.inbound)
@@ -226,7 +236,7 @@ class CandidateComputer:
             ca = frames[lp.cand_level].set_instance(lp.cand_sid)
             if leaf is Leaf.TALLY:
                 return ops.leaf_tally(warp, stack, win, m_prefix, ca, lp.floor_positions,
-                                      lp.uses_slot, lp.label, lp.degree_need)
+                                      lp.uses_slot, lp.label, lp.degree_need, lp.frame_wide)
             cand = ops.tile(ca, nslots)
         return ops.finish(warp, level, slot_arr, m_prefix, cand, lp.floor_positions,
                           lp.uses_slot, lp.label, lp.degree_need, win is not None, sets)

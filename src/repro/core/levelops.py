@@ -19,13 +19,16 @@ through the graph-read API (``neighbors``, ``neighbors_batch``,
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from array import array
+from itertools import accumulate
+from typing import Any, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.virtgpu.warp import Warp
 
+from .lowering import Leaf
 from .membership import member_sorted
 from .stack import Frame, WarpStack
 
@@ -55,9 +58,9 @@ class Operand(NamedTuple):
 
 
 class _LeafMemo:
-    """One stack's count-only leaf state: the plan of one parent slot
-    (``cand`` under ``prefix`` and the ``shared`` set; ``None`` until
-    planned) and ``table``, which lives as long as ``shared`` does.
+    """One stack's count-only leaf state: its current ``plan`` (``None``
+    until planned) under the ``shared`` set, and ``table``, which lives
+    as long as ``shared`` does.
 
     ``table`` is built by the first ``leaf_flipped`` plan under a shared
     set ``ref`` and read by every later one: ``(keys, hits, members)``
@@ -66,19 +69,127 @@ class _LeafMemo:
     and ``ref`` as a Python set.  Its size is Σ deg(ref), not n.
     """
 
-    __slots__ = ("cand", "prefix", "shared", "plan", "table")
+    __slots__ = ("shared", "plan", "table")
 
     def __init__(self, shared: np.ndarray | None) -> None:
-        self.cand: np.ndarray | None = None
-        self.prefix: list[int] = []
         self.shared = shared
-        self.plan: Any = None
+        self.plan: _LeafPlan | None = None
         self.table: tuple[np.ndarray, np.ndarray, set[int]] | None = None
+
+
+class _LeafPlan:
+    """A count-only leaf's per-candidate vectors over the parent slots
+    (*parts*) it covers, concatenated, and what a window's charges read.
+
+    Part ``i`` is the array ``cands[i]`` counted under the prefix
+    ``head + [own[i]]``; its candidates sit at ``offs[i]:offs[i + 1]``
+    of the vectors.  A plan bound to a parent ``frame`` covers its
+    slots ``first, first + 1, …``; a standalone plan (``frame is
+    None``) covers one array.  The one-part plan is the same code with
+    one part.
+    """
+
+    __slots__ = ("frame", "first", "cands", "own", "offs", "head", "counts")
+
+    leaf: ClassVar[Leaf]  # the leaf that builds it
+    frame: Frame | None
+    first: int
+    cands: list[np.ndarray]
+    own: list[int]
+    offs: list[int]
+    head: list[int]
+    counts: np.ndarray
+
+    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
+        """Window ``[lo, hi)`` of the vectors: its charges — same
+        amounts, same order as evaluating the batch on its own — and
+        its counts, a read-only view."""
+        raise NotImplementedError
+
+
+#: running sums of per-candidate set sizes and of their spill (LevelOps._running)
+Sums = tuple["array[int]", "array[int] | None"]
+
+
+def _prefix_sums(x: np.ndarray) -> "array[int]":
+    """``[0, x0, x0 + x1, …]`` as machine ints: a window reads two of
+    them as Python ints, and a frame's worth costs 8 bytes each."""
+    out = array("q", _ZERO)
+    out.frombytes(x.cumsum(dtype=np.int64).tobytes())
+    return out
+
+
+_ZERO = bytes(8)  # one int64 0
+
+
+class _GatherFreePlan(_LeafPlan):
+    """copy(T), spill, filter(T) from the running sums of row lengths."""
+
+    leaf = Leaf.GATHER_FREE
+    __slots__ = ("sums",)
+    sums: Sums
+
+    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
+        if warp is not None:
+            run, over = self.sums
+            total = run[hi] - run[lo]
+            warp.charge_copy(total)
+            if over is not None:
+                _charge_spill(warp, over[hi] - over[lo])
+            if total:
+                warp.charge_filter(total)
+        out: np.ndarray = self.counts[lo:hi]
+        return out
+
+
+class _FlippedPlan(_LeafPlan):
+    """set_op(|ref| · nslots, longest row), then spill and filter(kept)
+    from the running sums of the kept sizes."""
+
+    leaf = Leaf.FLIPPED
+    __slots__ = ("nref", "widths", "sums")
+    nref: int
+    widths: list[int]
+    sums: Sums
+
+    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
+        if warp is not None:
+            nslots = hi - lo
+            total = self.nref * nslots
+            _charge_set_op(warp, nslots if total else 0, total, max(self.widths[lo:hi]))
+            run, over = self.sums
+            if over is not None:
+                _charge_spill(warp, over[hi] - over[lo])
+            kept = run[hi] - run[lo]
+            if kept:
+                warp.charge_filter(kept)
+        out: np.ndarray = self.counts[lo:hi]
+        return out
+
+
+class _TallyPlan(_LeafPlan):
+    """filter(nslots · |ca|); nothing when ``ca`` is empty."""
+
+    leaf = Leaf.TALLY
+    __slots__ = ("m",)
+    m: int
+
+    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
+        if warp is not None and self.m:
+            warp.charge_filter(self.m * (hi - lo))
+        out: np.ndarray = self.counts[lo:hi]
+        return out
 
 
 def _floor(m_prefix: list[int], positions: tuple[int, ...]) -> int:
     """Symmetry floor from the restricted prefix positions (-1: none)."""
     return max([m_prefix[i] for i in positions]) if positions else -1
+
+
+def _charge_spill(warp: Warp, over: int) -> None:
+    """Host-memory penalty for ``over`` elements past their ``C`` slots."""
+    if over:
+        warp.charge(warp.cost.host_access * warp.cost.rounds(over))
 
 
 def _charge_set_op(warp: Warp, num_slots: int, total: int, width: int) -> None:
@@ -112,11 +223,12 @@ class LevelOps:
         # seg ids are read-only (they feed repeat/tile), so one arange
         # per distinct slot count is shared
         self._seg_cache: dict[int, np.ndarray] = {}
-        # id(stack) -> the last level's leaf plan (_leaf_memo).  A plan
+        # id(stack) -> the last level's leaf plan (_LeafMemo).  A plan
         # has one leaf kind, so one table serves whichever leaf it is;
-        # entries are validated by array identity / prefix equality on
-        # every use (a strong reference is held, so an id cannot be
-        # recycled while its entry is trusted).
+        # plans are validated by frame and array identity on every use
+        # (``replay``; the walk's leaves compare the prefix too), and
+        # hold strong references, so an id cannot be recycled while
+        # its entry is trusted.
         self._memo: dict[int, _LeafMemo] = {}
         self._loops: dict[bool, np.ndarray | None] = {}
 
@@ -226,7 +338,7 @@ class LevelOps:
         if warp is not None and vals.size > self.cap:
             # a slot can only spill when the whole batch outgrows one
             counts = np.bincount(segs, minlength=nslots)
-            self._charge_spill(warp, int(np.maximum(counts - self.cap, 0).sum()))
+            _charge_spill(warp, int(np.maximum(counts - self.cap, 0).sum()))
         return vals, segs
 
     def _labels_of(self, vals: np.ndarray) -> np.ndarray:
@@ -239,11 +351,6 @@ class LevelOps:
         assert self.graph_degree is not None  # a need > 1 exists only under degree_filter
         out: np.ndarray = self.graph_degree[vals]
         return out
-
-    def _charge_spill(self, warp: Warp, over: int) -> None:
-        """Host-memory penalty for ``over`` elements past their ``C`` slots."""
-        if over:
-            warp.charge(warp.cost.host_access * warp.cost.rounds(over))
 
     # -- fused candidate filter + frame assembly -------------------------------
 
@@ -308,12 +415,14 @@ class LevelOps:
     # Callers guarantee level >= 2 (a non-empty prefix) and an unpinned
     # last level.  The slots are ``cand[lo:hi]`` of a :data:`Window`:
     # UNROLL sizes the *charges* (a warp has 32 lanes), not the host
-    # work, so the first batch of a parent slot plans the per-candidate
-    # vectors for the whole array in one pass and every batch replays
-    # its window of them — same charges, same order, same amounts as
-    # evaluating the batch on its own.  A candidate is never in the
-    # prefix (injectivity at level - 1 already dropped it).  Returned
-    # counts are read-only views of the plan.
+    # work, so the first batch under a parent frame plans the
+    # per-candidate vectors of the frame's remaining slots (or of its
+    # active slot alone: ``LevelProgram.frame_wide``) in one pass, and
+    # every batch replays its window of them — same charges, same
+    # order, same amounts as evaluating the batch on its own.  A
+    # candidate is never in the prefix (injectivity at level - 1
+    # already dropped it).  Returned counts are read-only views of the
+    # plan.
 
     def self_loops(self, inbound: bool) -> np.ndarray | None:
         """Boolean mask of the vertices listed in their own out- (or
@@ -334,82 +443,151 @@ class LevelOps:
             self._loops[inbound] = mask if mask.any() else None
         return self._loops[inbound]
 
-    def _leaf_memo(self, stack: WarpStack, cand: np.ndarray, m_prefix: list[int],
-                   shared: np.ndarray | None) -> _LeafMemo:
-        """``stack``'s memo, its plan dropped when the parent array or
-        the prefix moved (steal splits, reabsorbed tails and restored
-        checkpoints are new arrays, so they re-plan)."""
+    def replay(self, warp: Warp | None, stack: WarpStack, win: Window) -> np.ndarray | None:
+        """The counts of ``win`` from the plan ``stack``'s parent frame
+        holds, its charges issued; ``None`` when no plan covers it.
+
+        The check is identity only: the plan's frame is the top frame
+        and its part for the active slot is the window's array.  While
+        a frame is on top the frames below it keep their active slots,
+        so the prefix and the shared set cannot move under the plan;
+        a steal split, a reabsorbed tail and a cloned frame are new
+        objects and re-plan through the walk.
+        """
+        ent = self._memo.get(id(stack))
+        if ent is None:
+            return None
+        plan = ent.plan
+        f = stack.frames[-1]
+        if plan is None or plan.frame is not f:
+            return None
+        i = f.uiter - plan.first
+        if not 0 <= i < len(plan.cands) or plan.cands[i] is not win[0]:
+            return None
+        off = plan.offs[i]
+        return plan.replay(warp, off + win[1], off + win[2])
+
+    def _planned(self, stack: WarpStack, win: Window, m_prefix: list[int],
+                 shared: np.ndarray | None) -> tuple[_LeafMemo, _LeafPlan | None, int]:
+        """``stack``'s memo (a fresh one under a new shared set), its
+        plan and the offset of ``win``'s part in it; the plan is
+        ``None`` when it does not cover ``win`` under ``m_prefix``."""
         ent = self._memo.get(id(stack))
         if ent is None or ent.shared is not shared:
             ent = self._memo[id(stack)] = _LeafMemo(shared)
-        if ent.cand is not cand or ent.prefix != m_prefix:
-            ent.cand, ent.prefix, ent.plan = cand, list(m_prefix), None
-        return ent
+            return ent, None, 0
+        plan = ent.plan
+        if plan is None:
+            return ent, None, 0
+        if plan.frame is None:
+            i = 0
+        elif plan.frame is stack.frames[-1]:
+            i = plan.frame.uiter - plan.first
+        else:
+            return ent, None, 0
+        if (0 <= i < len(plan.cands) and plan.cands[i] is win[0]
+                and plan.own[i] == m_prefix[-1] and plan.head == m_prefix[:-1]):
+            return ent, plan, plan.offs[i]
+        return ent, None, 0
 
-    def _running(self, sizes: np.ndarray, most: int | None = None,
-                 ) -> tuple[list[int], list[int] | None]:
-        """Running sums (Python ints, leading 0) of per-candidate set
-        sizes and of what each spills past one ``C`` slot (``None``:
-        none does), so a window's totals are two subtractions.  ``most``
-        is an upper bound on the sizes, when the caller has one: at or
-        under the slot capacity nothing spills and no max is taken."""
+    def _new_plan(self, ent: _LeafMemo, plan: _LeafPlan, stack: WarpStack, win: Window,
+                  m_prefix: list[int], frame_wide: bool) -> np.ndarray:
+        """Fill in what ``plan`` covers and install it; returns its
+        candidates, concatenated.  A window cut from the parent frame's
+        active slot (the kernel's) binds the plan to that frame: its
+        parts are that slot and, ``frame_wide``, every later one with
+        candidates.  Any other window is a standalone one-part plan.
+        Either way the window's part is the first."""
+        cand = win[0]
+        f = stack.frames[-1]
+        u = f.uiter
+        stop = u + 1
+        if cand is f.cand[u]:
+            plan.frame, plan.first = f, u
+            if frame_wide:
+                stop = len(f.cand)
+                while stop > u + 1 and not f.cand[stop - 1].size:  # no window cuts these
+                    stop -= 1
+        else:
+            plan.frame, plan.first = None, 0
+        plan.head = m_prefix[:-1]
+        ent.plan = plan
+        if stop == u + 1:
+            plan.cands, plan.own, plan.offs = [cand], m_prefix[-1:], [0, cand.size]
+            return cand
+        parts = plan.cands = f.cand[u:stop]
+        plan.own = f.slot_vertices[u:stop].tolist()
+        plan.offs = list(accumulate([c.size for c in parts], initial=0))
+        return np.concatenate(parts)
+
+    def _running(self, sizes: np.ndarray, most: int | None = None) -> Sums:
+        """Running sums (leading 0) of per-candidate set sizes and of
+        what each spills past one ``C`` slot (``None``: none does), so
+        a window's totals are two subtractions.  ``most`` is an upper
+        bound on the sizes, when the caller has one: at or under the
+        slot capacity nothing spills and no max is taken."""
         over = None
         if (most is None or most > self.cap) and int(sizes.max()) > self.cap:
-            over = [0] + np.maximum(sizes - self.cap, 0).cumsum().tolist()
-        return [0] + sizes.cumsum().tolist(), over
+            over = _prefix_sums(np.maximum(sizes - self.cap, 0))
+        return _prefix_sums(sizes), over
 
-    def _charge_sealed(self, warp: Warp, sums: tuple[list[int], list[int] | None],
-                       lo: int, hi: int) -> None:
-        """Spill, then filter(total), of the window's candidate sets."""
-        run, over = sums
-        if over is not None:
-            self._charge_spill(warp, over[hi] - over[lo])
-        total = run[hi] - run[lo]
-        if total:
-            warp.charge_filter(total)
-
-    def _drop_used(self, counts: np.ndarray, cand: np.ndarray, used: list[int],
-                   inbound: bool) -> None:
+    def _uncount(self, counts: np.ndarray, cand: np.ndarray, offs: list[int],
+                 shared: list[int], own: Sequence[int | None], inbound: bool) -> None:
         """Uncount each used vertex where it is adjacent to the
-        candidate (w ∈ N(v) ⟺ v ∈ N_reverse(w), as w ≠ v): the used
-        vertices' reverse rows, gathered into one sorted array, list a
-        candidate once per used vertex it is adjacent to."""
-        if not used:
-            return
+        candidate (w ∈ N(v) ⟺ v ∈ N_reverse(w), as w ≠ v): the
+        ``shared`` vertices in every part, ``own[i]`` in part ``i``
+        only (``None``: none).
+
+        Rows every candidate uses — ``shared``, and the own vertex of a
+        one-part plan — are concatenated and sorted (two or three rows:
+        slices time below one ``neighbors_batch``; docs/PERFORMANCE.md,
+        "Count-only leaves from the shared set's side"), and list a
+        candidate once per used vertex adjacent to it.  The parts' own
+        rows are keyed ``part · n + vertex`` (one sorted array, as each
+        row is) and searched once with the keyed candidates."""
         rev = self._graph(not inbound)
-        rows = [rev.neighbors(w) for w in used]
-        # the two or three rows a plan drops: concatenated slices time
-        # below one neighbors_batch (docs/PERFORMANCE.md, "Count-only
-        # leaves from the shared set's side")
-        hay = rows[0] if len(rows) == 1 else np.sort(np.concatenate(rows))
-        counts -= hay.searchsorted(cand, "right") - hay.searchsorted(cand, "left")
+        owned: list[tuple[int, int]] = []
+        if len(own) == 1:
+            w = own[0]
+            if w is not None:
+                shared = [*shared, w]
+        else:
+            owned = [(i, w) for i, w in enumerate(own) if w is not None and offs[i + 1] > offs[i]]
+        if shared:
+            hay = (rev.neighbors(shared[0]) if len(shared) == 1
+                   else np.sort(np.concatenate([rev.neighbors(w) for w in shared])))
+            counts -= hay.searchsorted(cand, "right") - hay.searchsorted(cand, "left")
+        if owned:
+            n = self.n
+            parts, vs = zip(*owned)
+            vals, roffs = rev.neighbors_batch(np.array(vs, dtype=np.int64))
+            hay = vals + (np.array(parts, dtype=np.int64) * n).repeat(roffs[1:] - roffs[:-1])
+            sizes = [hi - lo for lo, hi in zip(offs, offs[1:])]
+            counts -= member_sorted(hay, cand + self._seg_ids(len(own)).repeat(sizes) * n)
 
     def leaf_gather_free(self, warp: Warp | None, stack: WarpStack, win: Window,
-                         m_prefix: list[int], inbound: bool) -> np.ndarray:
+                         m_prefix: list[int], inbound: bool, frame_wide: bool) -> np.ndarray:
         """Candidates are the slots' own neighbor lists, unfiltered
         apart from injectivity: the counts are row lengths minus the
         used vertices present in each row, and no value is gathered.
         Charges: copy(T), spill, filter(T) with the gathered path's T.
         """
-        cand, lo, hi = win
-        ent = self._leaf_memo(stack, cand, m_prefix, None)
-        if ent.plan is None:
+        ent, plan, off = self._planned(stack, win, m_prefix, None)
+        if plan is None:
+            plan = _GatherFreePlan()
+            cand = self._new_plan(ent, plan, stack, win, m_prefix, frame_wide)
             lens: np.ndarray = np.asarray(self._graph(inbound).degree())[cand]
             counts = lens.copy()
             loops = self.self_loops(inbound)
             if loops is not None:
                 counts -= loops[cand]
-            self._drop_used(counts, cand, m_prefix, inbound)
-            ent.plan = (counts, self._running(lens))
-        counts, sums = ent.plan
-        if warp is not None:
-            warp.charge_copy(sums[0][hi] - sums[0][lo])
-            self._charge_sealed(warp, sums, lo, hi)
-        out: np.ndarray = counts[lo:hi]
-        return out
+            self._uncount(counts, cand, plan.offs, plan.head, plan.own, inbound)
+            plan.counts, plan.sums = counts, self._running(lens)
+        return plan.replay(warp, off + win[1], off + win[2])
 
     def leaf_flipped(self, warp: Warp | None, stack: WarpStack, win: Window,
-                     m_prefix: list[int], ref: np.ndarray, inbound: bool) -> np.ndarray:
+                     m_prefix: list[int], ref: np.ndarray, inbound: bool,
+                     frame_wide: bool) -> np.ndarray:
         """Candidates are ``ref ∩ N(slot)`` for a shared earlier set
         ``ref``, counted from ``ref``'s side: r ∈ N(v) ⟺ v ∈ N_rev(r),
         so one reverse gather of ``ref``'s rows, reduced to per-vertex
@@ -418,9 +596,10 @@ class LevelOps:
         is read.  Charges: set_op(|ref| · nslots, longest row in the
         window), spill, filter(kept), as tiled.
         """
-        cand, lo, hi = win
-        ent = self._leaf_memo(stack, cand, m_prefix, ref)
-        if ent.plan is None:
+        ent, plan, off = self._planned(stack, win, m_prefix, ref)
+        if plan is None:
+            plan = _FlippedPlan()
+            cand = self._new_plan(ent, plan, stack, win, m_prefix, frame_wide)
             if ent.table is None:
                 vals, _ = self._graph(not inbound).neighbors_batch(ref)
                 keys, hits = np.unique(vals, return_counts=True)
@@ -437,23 +616,18 @@ class LevelOps:
             # in the table by N_rev's loops and in N(v) by N's own.
             loops, rloops = self.self_loops(inbound), self.self_loops(not inbound)
             if loops is not None or rloops is not None:
-                own = member_sorted(ref, cand)
+                in_ref = member_sorted(ref, cand)
                 if rloops is not None:
-                    kept -= own & rloops[cand]
+                    kept -= in_ref & rloops[cand]
             counts = kept.copy()  # a candidate is never the slot itself
             if loops is not None:
-                kept += own & loops[cand]
-            self._drop_used(counts, cand, [w for w in m_prefix if w in members], inbound)
-            widths = np.asarray(self._graph(inbound).degree())[cand].tolist()
-            ent.plan = (counts, widths, self._running(kept, int(ref.size)))
-        counts, widths, sums = ent.plan
-        if warp is not None:
-            nslots = hi - lo
-            total = int(ref.size) * nslots
-            _charge_set_op(warp, nslots if total else 0, total, max(widths[lo:hi]))
-            self._charge_sealed(warp, sums, lo, hi)
-        out: np.ndarray = counts[lo:hi]
-        return out
+                kept += in_ref & loops[cand]
+            self._uncount(counts, cand, plan.offs, [w for w in plan.head if w in members],
+                          [w if w in members else None for w in plan.own], inbound)
+            plan.counts, plan.nref = counts, int(ref.size)
+            plan.widths = np.asarray(self._graph(inbound).degree())[cand].tolist()
+            plan.sums = self._running(kept, plan.nref)
+        return plan.replay(warp, off + win[1], off + win[2])
 
     def leaf_tally(
         self,
@@ -466,33 +640,39 @@ class LevelOps:
         uses_slot: bool,
         label: int | None,
         need: int,
+        frame_wide: bool,
     ) -> np.ndarray:
         """Candidates are one shared earlier set ``ca``: every slot
         would tile, mask and count the same sorted array, so the tally
-        is closed-form.  Charge: filter(nslots · |ca|), as tiled.
+        is closed-form.  Charge: filter(nslots · |ca|), as tiled, none
+        when ``ca`` is empty.
         """
-        cand, lo, hi = win
+        ent, plan, off = self._planned(stack, win, m_prefix, ca)
+        if plan is None:
+            plan = _TallyPlan()
+            cand = self._new_plan(ent, plan, stack, win, m_prefix, frame_wide)
+            plan.m = int(ca.size)
+            plan.counts = self._tally(cand, plan, ca, _floor(m_prefix, floor_positions),
+                                      uses_slot, label, need)
+        return plan.replay(warp, off + win[1], off + win[2])
+
+    def _tally(self, cand: np.ndarray, plan: _LeafPlan, ca: np.ndarray, floor: int,
+               uses_slot: bool, label: int | None, need: int) -> np.ndarray:
+        """Per candidate, the members of sorted ``ca`` that pass the
+        fused filter under its part's prefix.  The vertices every
+        candidate uses (``plan.head``, plus the own vertex of a one-part
+        plan) are settled once: unlabeled with no degree need, the
+        membership test is inverted (the few used vertices are searched
+        in ``ca``), so no O(|ca|) array is built; otherwise one mask
+        over ``ca`` and sorted cuts.  Each part's own vertex of a
+        multi-part plan is then uncounted in its part only.  ``floor``
+        is the same for every part (a floor reading the own vertex
+        makes a one-part plan)."""
         m = int(ca.size)
         if m == 0:
-            return np.zeros(hi - lo, dtype=np.int64)
-        if warp is not None:
-            warp.charge_filter(m * (hi - lo))
-        ent = self._leaf_memo(stack, cand, m_prefix, ca)
-        if ent.plan is None:
-            ent.plan = self._tally(cand, m_prefix, ca, _floor(m_prefix, floor_positions),
-                                   uses_slot, label, need)
-        out: np.ndarray = ent.plan[lo:hi]
-        return out
-
-    def _tally(self, slot_arr: np.ndarray, m_prefix: list[int], ca: np.ndarray, floor: int,
-               uses_slot: bool, label: int | None, need: int) -> np.ndarray:
-        """Per slot, the members of sorted ``ca`` that pass the fused
-        filter.  Unlabeled with no degree need, the membership test is
-        inverted (the few used vertices are searched in ``ca``), so no
-        O(|ca|) array is built; otherwise one mask over ``ca`` and
-        sorted cuts."""
-        m = int(ca.size)
-        used = np.asarray(m_prefix, dtype=ca.dtype)
+            return np.zeros(cand.size, dtype=np.int64)
+        one = len(plan.own) == 1
+        used = np.asarray(plan.head + plan.own if one else plan.head, dtype=ca.dtype)
         keep = None
         if label is not None or need > 1:
             keep = member_sorted(np.sort(used), ca)
@@ -507,7 +687,7 @@ class LevelOps:
         if uses_slot:
             # the floor is at least the slot's own vertex, so x > floor
             # already excludes x == slot
-            floors = np.maximum(slot_arr, floor)
+            floors = np.maximum(cand, floor)
             fpos = ca.searchsorted(floors, side="right")
             if keep is not None:
                 below = np.zeros(m + 1, dtype=np.int64)
@@ -516,20 +696,36 @@ class LevelOps:
             else:
                 counts = (m - fpos).astype(np.int64)
                 counts -= (hit[None, :] > floors[:, None]).sum(axis=1)
-            return counts
-        # one floor for every slot: a scalar base count, minus the
-        # slot's own vertex where it survives
-        cut = int(ca.searchsorted(floor, side="right"))
-        if keep is not None:
-            base = int(np.count_nonzero(keep[cut:]))
         else:
-            base = m - cut - int(np.count_nonzero(hit > floor))
-        spos = ca.searchsorted(slot_arr)
-        np.minimum(spos, m - 1, out=spos)
-        own = ca[spos] == slot_arr
-        if floor >= 0:
-            own &= slot_arr > floor
+            # one floor for every slot: a scalar base count, minus the
+            # slot's own vertex where it survives
+            cut = int(ca.searchsorted(floor, side="right"))
+            if keep is not None:
+                base = int(np.count_nonzero(keep[cut:]))
+            else:
+                base = m - cut - int(np.count_nonzero(hit > floor))
+            spos = ca.searchsorted(cand)
+            np.minimum(spos, m - 1, out=spos)
+            slot_hit = ca[spos] == cand
+            if floor >= 0:
+                slot_hit &= cand > floor
+            if keep is not None:
+                slot_hit &= keep[spos]
+            counts = base - slot_hit.astype(np.int64)
+        if one:
+            return counts
+        # each part's own vertex w, where it survives the filter: in ca,
+        # above the floor (and above the slot, when the slot is restricted)
+        w = np.asarray(plan.own, dtype=np.int64)
+        drop = member_sorted(ca, w)
+        if not drop.any():
+            return counts
+        drop &= w > floor
         if keep is not None:
-            own &= keep[spos]
-        counts = base - own.astype(np.int64)
+            drop &= keep[ca.searchsorted(w).clip(max=m - 1)]
+        sizes = [hi - lo for lo, hi in zip(plan.offs, plan.offs[1:])]
+        per = drop.repeat(sizes)
+        if uses_slot:
+            per &= w.repeat(sizes) > cand
+        counts -= per
         return counts

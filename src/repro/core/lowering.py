@@ -110,6 +110,10 @@ class LevelProgram:
     label: int | None
     degree_need: int  # 0 when the degree filter is off
     leaf: Leaf
+    #: the leaf's inputs other than the slot's own vertex are the same
+    #: for every slot of the parent frame (level - 1), so one plan
+    #: covers the frame's remaining slots
+    frame_wide: bool
 
 
 def lower(plan: MatchingPlan, degree_filter: bool, bitmap_on: bool) -> tuple[LevelProgram, ...]:
@@ -190,6 +194,14 @@ def _lower_level(
                   and not st.ops[0].difference and gathers[st.ops[0].gather].per_slot):
                 leaf = Leaf.FLIPPED
 
+    # one leaf plan serves the parent frame's slots when its shared set
+    # lives below that frame and no floor reads the frame's slot vertex
+    floor_positions = tuple(i for i in restrictions if i != level - 1)
+    frame_wide = (leaf is Leaf.GATHER_FREE
+                  or (leaf is Leaf.FLIPPED and tiles[0].level < level - 1)
+                  or (leaf is Leaf.TALLY and cand_level < level - 1
+                      and level - 2 not in floor_positions))
+
     return LevelProgram(
         level=level,
         gathers=tuple(gathers),
@@ -197,9 +209,10 @@ def _lower_level(
         steps=tuple(steps),
         cand_sid=cand_sid,
         cand_level=cand_level,
-        floor_positions=tuple(i for i in restrictions if i != level - 1),
+        floor_positions=floor_positions,
         uses_slot=(level - 1) in restrictions,
         label=label,
         degree_need=need,
         leaf=leaf,
+        frame_wide=frame_wide,
     )

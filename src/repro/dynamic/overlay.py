@@ -21,10 +21,11 @@ the D601–D605 lint rules in :mod:`repro.analysis.overlay`):
   (a delta is *effective* — no-ops are normalized away up front);
 * undirected overlays store both arc directions of every edge.
 
-:class:`EditBatch` is the user-facing edit carrier: canonical
-``u < v`` edge arrays with delete-then-insert semantics, and
+:class:`EditBatch` is the user-facing edit carrier: ``(u, v)`` pair
+arrays with delete-then-insert semantics, and
 :meth:`EditBatch.normalized_against` reduces a raw batch to its
-effective form against any graph (base or overlay).
+effective form against any graph (base or overlay) — arcs on a
+directed graph, canonical ``u < v`` edges on an undirected one.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ Violation = tuple[str, str, str]
 
 
 def _canonical_edges(edges: "Iterable[tuple[int, int]] | np.ndarray | Sequence[Sequence[int]]",
-                     ) -> np.ndarray:
-    """Normalize an edge list to a sorted, unique ``(m, 2)`` ``u < v`` array."""
+                     directed: bool = False) -> np.ndarray:
+    """Normalize an edge list to a sorted, unique, self-loop-free
+    ``(m, 2)`` array: ``u < v`` edges, or (``directed``) arcs as given."""
     e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                    dtype=np.int64)
     if e.size == 0:
@@ -62,8 +64,17 @@ def _canonical_edges(edges: "Iterable[tuple[int, int]] | np.ndarray | Sequence[S
     e = e[e[:, 0] != e[:, 1]]  # drop self loops
     if e.size == 0:
         return _EMPTY_EDGES
-    e = np.sort(e, axis=1)  # canonical u < v
+    if not directed:
+        e = np.sort(e, axis=1)  # canonical u < v
     return np.unique(e, axis=0)  # lexicographic sort + dedup
+
+
+def _as_edges(pairs: np.ndarray) -> np.ndarray:
+    """Canonical ``u < v`` edges of canonical pairs (as they are, when
+    every pair already runs forward)."""
+    if not pairs.size or (pairs[:, 0] < pairs[:, 1]).all():
+        return pairs
+    return _canonical_edges(pairs)
 
 
 def _edge_keys(edges: np.ndarray, stride: int) -> np.ndarray:
@@ -105,11 +116,15 @@ def _membership(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 class EditBatch:
     """One batch of edge edits with delete-then-insert semantics.
 
-    ``inserts`` and ``deletes`` are canonical ``(m, 2)`` ``int64``
-    arrays (``u < v``, lexicographically sorted, unique).  An edge in
-    *both* lists over a graph that already has it is a net no-op; over
-    a graph that lacks it, it is an insert — exactly what applying the
-    deletes first, then the inserts, yields.
+    ``inserts`` and ``deletes`` are ``(m, 2)`` ``int64`` arrays of
+    ``(u, v)`` pairs as given (lexicographically sorted, unique,
+    self-loop-free).  Their orientation is settled against a graph
+    (:meth:`normalized_against`): a pair is the arc ``u → v`` of a
+    directed graph and the edge ``{u, v}`` of an undirected one, whose
+    effective batch holds canonical ``u < v`` edges.  An edge in *both*
+    lists over a graph that already has it is a net no-op; over a graph
+    that lacks it, it is an insert — exactly what applying the deletes
+    first, then the inserts, yields.
     """
 
     inserts: np.ndarray = field(default_factory=lambda: _EMPTY_EDGES)
@@ -121,8 +136,8 @@ class EditBatch:
         inserts: "Iterable[tuple[int, int]] | np.ndarray" = (),
         deletes: "Iterable[tuple[int, int]] | np.ndarray" = (),
     ) -> "EditBatch":
-        return cls(inserts=_canonical_edges(inserts),
-                   deletes=_canonical_edges(deletes))
+        return cls(inserts=_canonical_edges(inserts, directed=True),
+                   deletes=_canonical_edges(deletes, directed=True))
 
     @property
     def empty(self) -> bool:
@@ -135,31 +150,36 @@ class EditBatch:
     def normalized_against(self, graph: "CSRGraph | OverlayGraph") -> "EditBatch":
         """The *effective* batch against ``graph``: deletes restricted
         to present edges, inserts to absent ones, delete-then-insert
-        overlaps resolved.  Endpoints must be existing vertices (the
-        vertex set is fixed; growing it is a ``compact()``-and-rebuild
-        operation)."""
+        overlaps resolved, pairs canonicalized against
+        ``graph.directed`` (arcs stay as given; undirected edges become
+        ``u < v``).  Endpoints must be existing vertices (the vertex set
+        is fixed; growing it is a ``compact()``-and-rebuild operation)."""
         n = graph.num_vertices
-        for arr, what in ((self.inserts, "insert"), (self.deletes, "delete")):
+        inserts, deletes = self.inserts, self.deletes
+        if not graph.directed:
+            # an edge given as (v, u), v > u, is the edge {u, v}
+            inserts, deletes = _as_edges(inserts), _as_edges(deletes)
+        for arr, what in ((inserts, "insert"), (deletes, "delete")):
             if arr.size and arr.max() >= n:
                 raise ValueError(
                     f"{what} endpoint {int(arr.max())} out of range for a "
                     f"{n}-vertex graph")
         ins_present = np.asarray(
-            [graph.has_edge(int(u), int(v)) for u, v in self.inserts], dtype=bool
-        ) if self.inserts.size else np.zeros(0, dtype=bool)
+            [graph.has_edge(int(u), int(v)) for u, v in inserts], dtype=bool
+        ) if inserts.size else np.zeros(0, dtype=bool)
         del_present = np.asarray(
-            [graph.has_edge(int(u), int(v)) for u, v in self.deletes], dtype=bool
-        ) if self.deletes.size else np.zeros(0, dtype=bool)
+            [graph.has_edge(int(u), int(v)) for u, v in deletes], dtype=bool
+        ) if deletes.size else np.zeros(0, dtype=bool)
         # delete-then-insert: an edge in both lists survives iff absent
-        ins_keys = _edge_keys(self.inserts, n)
-        del_keys = _edge_keys(self.deletes, n)
+        ins_keys = _edge_keys(inserts, n)
+        del_keys = _edge_keys(deletes, n)
         del_also_inserted = _membership(del_keys, ins_keys)
-        eff_deletes = self.deletes[del_present & ~del_also_inserted]
-        eff_inserts = self.inserts[~ins_present]
+        eff_deletes = deletes[del_present & ~del_also_inserted]
+        eff_inserts = inserts[~ins_present]
         return EditBatch(inserts=eff_inserts, deletes=eff_deletes)
 
     def edges_changed(self) -> np.ndarray:
-        """All touched canonical edges (inserts ∪ deletes)."""
+        """All touched pairs (inserts ∪ deletes)."""
         if self.inserts.size == 0:
             return self.deletes
         if self.deletes.size == 0:

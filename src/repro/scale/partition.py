@@ -30,7 +30,7 @@ happens-before analyzer checks the emitted ``partition_cover`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -245,6 +245,20 @@ class PartitionedGraph(CSRGraph):
             return gather_rows(self._local_indptr, self._local_indices, rows)  # type: ignore[attr-defined]
         object.__setattr__(self, "_fallback_rows", self.fallback_rows + escaped)
         return super().neighbors_batch(vs)
+
+    # -- transformations: stay a shard --------------------------------------
+
+    def with_labels(self, labels: Sequence[int] | np.ndarray) -> "PartitionedGraph":
+        """The same owned range, replicated over the labelled base (a
+        plain copy would drop the replica and its ``fallback_rows``)."""
+        lo, hi = self.owned_range
+        return PartitionedGraph.replicate(self.base.with_labels(labels), lo, hi)
+
+    def without_labels(self) -> "PartitionedGraph":
+        if self.labels is None:
+            return self
+        lo, hi = self.owned_range
+        return PartitionedGraph.replicate(self.base.without_labels(), lo, hi)
 
     # -- residency accounting -------------------------------------------
 

@@ -14,10 +14,15 @@ charges), so it gets ordinary unit tests:
   equals the per-slot reference in ``tests/oracle.py``;
 * a flipped plan reads only its shared set's rows (once per stack and
   set) and the used vertices' rows, never a candidate's;
-* a leaf plans once per parent slot and replays per batch: every window
+* a leaf plans once per parent frame and replays per batch: every window
   of a parent array equals the generic path evaluated on that batch
   alone, across steal splits, reabsorbed tails, moved prefixes and
-  cloned frames, and over random window sequences (hypothesis).
+  cloned frames, and over random window sequences (hypothesis);
+* replays never enter the walk: ``dense_count``'s q5 cell builds one
+  flipped plan per parent frame (2 053), and kernel runs that steal,
+  lose pushes, resume from a checkpoint or perturb the schedule equal
+  the per-slot reference, 4-vertex queries (parent frame at
+  ``stop_level``) included.
 """
 
 import tracemalloc
@@ -28,22 +33,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import QueryGraph
+from repro.codegen.computer import CodegenCandidateComputer
 from repro.core.candidates import CandidateComputer
 from repro.core.config import EngineConfig
+from repro.core.counters import RunStatus
+from repro.core.engine import STMatchEngine, cached_plan
 from repro.core.kernel import run_kernel
 from repro.core.levelops import LevelOps
 from repro.core.lowering import Leaf, Src, lower
 from repro.core.stack import Frame, WarpStack, divide_and_copy, reabsorb
 from repro.dynamic import EditBatch, OverlayGraph
+from repro.faults import FaultInjector
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.graph import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
 from repro.pattern import QUERIES, build_plan
 from repro.scale import PartitionedGraph
+from repro.scale.backend import resolve_graph_backend, with_backend
 from repro.virtgpu.device import VirtualDevice
 from repro.virtgpu.warp import Warp
 
-from tests.oracle import ReferenceCandidateComputer
+from tests.oracle import ReferenceCandidateComputer, ReferenceEngine
 
 ALL_QUERIES = [f"q{i}" for i in range(1, 25)]
 
@@ -102,6 +113,8 @@ class TestLowering:
         assert set(lp.floor_positions) | ({lp.level - 1} if lp.uses_slot else set()) == restricted
         if lp.leaf is not Leaf.NONE:
             assert lp.level == plan.size - 1 and lp.level >= 2
+        else:
+            assert not lp.frame_wide
 
     def test_bitmap_flag_reaches_every_op(self):
         plan = build_plan(QUERIES["q6"])
@@ -147,14 +160,22 @@ def _random_graph(rng, n=28, p=0.3, directed=False, self_loops=False) -> CSRGrap
     np.fill_diagonal(mask, rng.random(n) < 0.4 if self_loops else False)
     rows = [np.nonzero(mask[v])[0].astype(np.int32) for v in range(n)]
     indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
-    return CSRGraph(indptr=indptr, indices=np.concatenate(rows), directed=directed)
+    return _backed(CSRGraph(indptr=indptr, indices=np.concatenate(rows), directed=directed))
+
+
+def _backed(graph: CSRGraph) -> CSRGraph:
+    """``graph`` on the backend ``REPRO_GRAPH_BACKEND`` names (CI's
+    memmap leg): every leaf reads rows and degrees through it."""
+    return with_backend(graph, resolve_graph_backend())
 
 
 def _overlay(rng, g: CSRGraph) -> OverlayGraph:
-    # edit batches are canonical u < v pairs: a directed overlay can
-    # delete only forward arcs (an undirected graph lists no others)
-    edges = [(u, v) for u, v in g.edges() if u < v]
+    # an edit pair is an arc of a directed graph (at least one deleted
+    # arc runs backward, u > v) and an edge of an undirected one
+    edges = list(g.edges())
     deletes = [edges[i] for i in rng.choice(len(edges), 12, replace=False)]
+    if g.directed and not any(u > v for u, v in deletes):
+        deletes[0] = next((u, v) for u, v in edges if u > v)
     n = g.num_vertices
     inserts = [(u, v) for u, v in rng.integers(0, n, (120, 2)).tolist()
                if u != v and not g.has_edge(u, v)][:12]
@@ -214,12 +235,16 @@ TALLY_CONSTS = ((), False, None, 0)
 
 
 def _leaf(kind, ops, warp, stack, win, prefix, shared, inbound, consts=TALLY_CONSTS):
-    """The count-only leaf ``kind`` over window ``win`` of its parent."""
+    """The count-only leaf ``kind`` over window ``win`` of its parent.
+    ``shared`` lives in no frame, so a plan may cover the parent frame
+    (``frame_wide``) unless a tally floor reads the parent slot's vertex,
+    as lowering decides."""
     if kind == "gather_free":
-        return ops.leaf_gather_free(warp, stack, win, prefix, inbound)
+        return ops.leaf_gather_free(warp, stack, win, prefix, inbound, True)
     if kind == "flipped":
-        return ops.leaf_flipped(warp, stack, win, prefix, shared, inbound)
-    return ops.leaf_tally(warp, stack, win, prefix, shared, *consts)
+        return ops.leaf_flipped(warp, stack, win, prefix, shared, inbound, True)
+    return ops.leaf_tally(warp, stack, win, prefix, shared, *consts,
+                          len(prefix) - 1 not in consts[0])
 
 
 def _generic(kind, ops, warp, slots, prefix, shared, inbound, consts=TALLY_CONSTS):
@@ -276,6 +301,8 @@ class TestLeavesEqualGenericPath:
             if isinstance(graph, OverlayGraph):
                 pytest.skip("labels ride on the base graph; covered by the CSR cases")
             graph = assign_random_labels(graph, num_labels=3, seed=5)
+            # a labelled shard is still a shard
+            assert isinstance(graph, PartitionedGraph) == (gname == "partition-shard")
         ops = _ops(graph, need=need > 1)
         consts = (floor_positions, uses_slot, label, need)
         for stack, prefix, slots, ca in _cases(rng, graph):
@@ -321,11 +348,13 @@ def test_flipped_plans_read_only_the_shared_set_and_used_rows(monkeypatch):
     inside = []  # the rows list of the leaf_flipped call in progress
     flipped, batch, row = LevelOps.leaf_flipped, CSRGraph.neighbors_batch, CSRGraph.neighbors
 
-    def leaf_flipped(self, warp, stack, win, m_prefix, ref, inbound):
-        calls.append((stack, ref, list(m_prefix), []))
+    def leaf_flipped(self, warp, stack, win, m_prefix, ref, inbound, frame_wide):
+        # a plan covers the parent frame's slots: their vertices are used too
+        used = m_prefix[:-1] + stack.top.slot_vertices[stack.top.uiter:].tolist()
+        calls.append((stack, ref, used, []))
         inside.append(calls[-1][3])
         try:
-            return flipped(self, warp, stack, win, m_prefix, ref, inbound)
+            return flipped(self, warp, stack, win, m_prefix, ref, inbound, frame_wide)
         finally:
             inside.pop()
 
@@ -355,7 +384,7 @@ def test_flipped_plans_read_only_the_shared_set_and_used_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# plan once per parent slot, replay per batch
+# plan once, replay per batch
 # ---------------------------------------------------------------------------
 
 UNROLL = 4
@@ -518,7 +547,7 @@ def test_walk_leaf_equals_frame_path_and_reference(gname):
 
 
 # ---------------------------------------------------------------------------
-# scale: a leaf step's memory follows the parent slot, not the graph
+# scale: a leaf step's memory follows the parent frame, not the graph
 # ---------------------------------------------------------------------------
 
 
@@ -569,3 +598,217 @@ def test_no_leaf_step_allocates_per_vertex_scratch(qname):
                                      VirtualDevice(cfg.device)).matches > 0
     assert probe.leaf_steps > 50
     assert probe.peak < pad  # less than one byte per vertex
+
+
+# ---------------------------------------------------------------------------
+# plan once per parent frame, replay without the walk
+# ---------------------------------------------------------------------------
+
+
+class _PlanMeter:
+    """Counts, over kernel runs, the leaf plans built (per leaf kind),
+    the parent frames they were built for (a steal split re-plans the
+    same frame), the count-only walks, and the parent frames that cut
+    a leaf batch.  Frames are held, so an id is never recycled."""
+
+    def __init__(self, monkeypatch, computer_cls):
+        self.plans, self.walks = {}, 0
+        self.planned, self.cut = {}, {}  # id(frame) -> frame
+        meter = self
+        for name in ("leaf_gather_free", "leaf_flipped", "leaf_tally"):
+            monkeypatch.setattr(LevelOps, name, self._leaf(name, getattr(LevelOps, name)))
+        walk, compute = computer_cls._walk, CandidateComputer.compute_frame
+
+        def counting_walk(self, warp, stack, level, slot_arr, win):
+            meter.walks += win is not None
+            return walk(self, warp, stack, level, slot_arr, win)
+
+        def cutting(self, warp, stack, level, slot_vertices, count_only=False):
+            if count_only:
+                meter.cut[id(stack.top)] = stack.top
+            return compute(self, warp, stack, level, slot_vertices, count_only)
+
+        monkeypatch.setattr(computer_cls, "_walk", counting_walk)
+        monkeypatch.setattr(CandidateComputer, "compute_frame", cutting)
+
+    def _leaf(self, name, fn):
+        def leaf(ops, warp, stack, *args):
+            ent = ops._memo.get(id(stack))
+            before = None if ent is None else ent.plan
+            out = fn(ops, warp, stack, *args)
+            plan = ops._memo[id(stack)].plan
+            if plan is not before:
+                self.plans[name] = self.plans.get(name, 0) + 1
+                assert plan.frame is stack.top  # the kernel's windows bind their frame
+                self.planned[id(plan.frame)] = plan.frame
+            return out
+        return leaf
+
+    @property
+    def total(self):
+        return sum(self.plans.values())
+
+
+def test_dense_q5_plans_once_per_parent_frame(monkeypatch):
+    """``dense_count``'s q5 cell (benchmarks/perf): one flipped plan per
+    parent frame that cuts a leaf batch — 2 053, where planning per
+    parent slot made 8 930 — and the walk entered once per plan, never
+    for a replayed batch; matches and cycles are the bench's."""
+    graph = powerlaw_cluster(400, m=24, p_triangle=0.5, seed=41, name="dense")
+    cfg = EngineConfig(codegen=True, max_results=3_000_000)
+    plan = cached_plan(graph, QUERIES["q5"])
+    meter = _PlanMeter(monkeypatch, CodegenCandidateComputer)
+    got = _launch(plan, cfg, CodegenCandidateComputer(graph, plan, cfg))
+    assert got[:2] == (3_000_039, pytest.approx(360_693.5881324324))
+    assert meter.plans == {"leaf_flipped": 2_053}
+    assert meter.planned.keys() == meter.cut.keys()
+    assert meter.walks == meter.total
+
+
+def _launch(plan, cfg, computer):
+    """(matches, makespan cycles, local steals) of one kernel launch."""
+    dev = VirtualDevice(cfg.device)
+    state = run_kernel(plan, cfg, computer, dev)
+    return state.matches, dev.makespan_cycles(), state.num_local_steals
+
+
+def _skewed():
+    # skewed degrees: both steal levels fire (local splits, global pushes)
+    return _backed(powerlaw_cluster(150, m=4, p_triangle=0.6, seed=3))
+
+
+#: 4-vertex queries: the parent frame sits at stop_level = 2, where steal
+#: splits replace its active slot.  (query, symmetry_breaking, leaf, frame_wide)
+FOUR_VERTEX = [
+    ("c4", QueryGraph.cycle(4), False, Leaf.FLIPPED, True),
+    ("k4", QueryGraph.clique(4), False, Leaf.FLIPPED, False),
+    ("tailed", QueryGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), True, Leaf.TALLY,
+     True),
+    ("p4", QueryGraph.path(4), True, Leaf.TALLY, False),
+    # the floor reads the parent slot's vertex: one plan per slot
+    ("star", QueryGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), True, Leaf.TALLY, False),
+]
+
+
+@pytest.mark.parametrize("name,query,sym,leaf,frame_wide", FOUR_VERTEX,
+                         ids=[c[0] for c in FOUR_VERTEX])
+def test_four_vertex_parent_at_stop_level(monkeypatch, name, query, sym, leaf, frame_wide):
+    graph = _skewed()
+    cfg = EngineConfig()
+    plan = build_plan(query, symmetry_breaking=sym)
+    lp = CandidateComputer(graph, plan, cfg).levels[-1]
+    assert (lp.level - 1, lp.leaf, lp.frame_wide) == (cfg.stop_level, leaf, frame_wide)
+    ref = _launch(plan, cfg, ReferenceCandidateComputer(graph, plan, cfg))
+    meter = _PlanMeter(monkeypatch, CandidateComputer)
+    got = _launch(plan, cfg, CandidateComputer(graph, plan, cfg))
+    assert got == ref and got[0] > 0 and got[2] > 0
+    assert meter.walks == meter.total
+    assert meter.planned.keys() == meter.cut.keys()
+    # steal splits re-plan frames they cut; a slot-wide leaf plans per slot
+    assert meter.total > len(meter.planned)
+
+
+@pytest.mark.parametrize("qname", ["q1", "q3", "q5", "q7"])  # tally ×2, flipped, gather-free
+class TestPlansAcrossKernelEvents:
+    """Plans alive while the kernel steals, loses a push (the donor
+    reabsorbs the tail), resumes from a checkpoint, or runs a perturbed
+    schedule: every run equals the per-slot reference in matches and
+    cycles."""
+
+    @staticmethod
+    def _both(graph, qname, cfg, device=None, **run):
+        q = QUERIES[qname]
+        out = []
+        for engine in (STMatchEngine, ReferenceEngine):
+            dev = device() if device is not None else None
+            out.append(engine(graph, cfg).run(q, device=dev, **run))
+        return out
+
+    @staticmethod
+    def _same(got, ref):
+        assert (got.matches, got.cycles, got.status) == (ref.matches, ref.cycles, ref.status)
+
+    def test_steal_splits(self, qname):
+        got, ref = self._both(_skewed(), qname, EngineConfig())
+        self._same(got, ref)
+        assert got.num_local_steals > 0 and got.num_global_steals > 0
+
+    def test_lost_pushes_reabsorbed(self, qname):
+        def device():
+            dev = VirtualDevice()
+            fault = FaultPlan(events=(FaultEvent(FaultKind.STEAL_LOSS, device=0, count=50),))
+            dev.attach_injector(fault.injector_for(0, attempt=0))
+            return dev
+
+        got, ref = self._both(_skewed(), qname, EngineConfig(), device)
+        self._same(got, ref)
+        assert got.num_lost_steals > 0
+
+    def test_checkpoint_resume(self, qname):
+        graph, cfg = _skewed(), EngineConfig(checkpoint_interval=1)
+        whole = STMatchEngine(graph, cfg).run(QUERIES[qname])
+
+        def device():
+            dev = VirtualDevice()
+            dev.attach_injector(FaultInjector(0, fail_at=whole.cycles / 2))
+            return dev
+
+        dead = self._both(graph, qname, cfg, device)
+        assert all(d.status == RunStatus.FAILED and d.checkpoint is not None for d in dead)
+        got, ref = (engine(graph, cfg).run(QUERIES[qname], resume_from=d.checkpoint)
+                    for engine, d in zip((STMatchEngine, ReferenceEngine), dead))
+        self._same(got, ref)
+        assert got.matches == whole.matches
+
+    def test_schedule_seed(self, qname):
+        got, ref = self._both(_skewed(), qname, EngineConfig(), schedule_seed=7)
+        self._same(got, ref)
+
+
+def test_frame_plan_covers_every_slot_and_standalone_windows_plan_alone():
+    """Windows of the top frame's slots, cut as the kernel cuts them,
+    enter the walk once — the first plans the frame's remaining slots,
+    the rest replay.  The same batches as standalone windows (a copy of
+    the slot array, or ``count_only=True``) plan one part each; counts
+    and charge streams are equal either way, and equal the frame
+    path's."""
+    rng = np.random.default_rng(11)
+    graph = GRAPHS["self-loops"](rng)
+    for qname in ("q3", "q5", "q7"):  # tally, flipped, gather-free: all frame-wide
+        plan = build_plan(QUERIES[qname])
+        comp = CandidateComputer(graph, plan, EngineConfig(max_degree=8))
+        assert comp.levels[-1].frame_wide
+        last = plan.size - 1
+        walk, walks = comp._walk, []
+        comp._walk = lambda *args: walks.append(args[-1] is not None) or walk(*args)
+        framed_frames = 0
+        for _ in range(30):
+            drawn = _descend(comp, rng, unroll=4)
+            if drawn is None:
+                continue
+            stack = drawn[0]
+            top = stack.top
+            windows = [(u, lo, min(lo + 3, top.cand[u].size))
+                       for u in range(top.nslots)
+                       for lo in range(0, top.cand[u].size, 3)]
+            a, b, c, d = _warp(), _warp(), _warp(), _warp()
+            walks.clear()
+            framed = []
+            for u, lo, hi in windows:
+                top.uiter = u
+                cand = top.cand[u]
+                framed += comp.compute_frame(a, stack, last, cand[lo:hi],
+                                             count_only=(cand, lo, hi)).tolist()
+            assert sum(walks) == 1
+            framed_frames += windows[-1][0] > windows[0][0]
+            alone, batch, full = [], [], []
+            for u, lo, hi in windows:
+                top.uiter = u
+                cand = top.cand[u]
+                alone += comp.compute_frame(b, stack, last, cand[lo:hi],
+                                            count_only=(cand.copy(), lo, hi)).tolist()
+                batch += comp.compute_frame(c, stack, last, cand[lo:hi], count_only=True).tolist()
+                full += [x.size for x in comp.compute_frame(d, stack, last, cand[lo:hi]).cand]
+            assert framed == alone == batch == full
+            assert _stream(a) == _stream(b) == _stream(c) == _stream(d)
+        assert framed_frames >= 3

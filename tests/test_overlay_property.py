@@ -151,3 +151,26 @@ class TestEngineOnOverlay:
         assert a.matches == b.matches
         assert a.cycles == b.cycles  # identical storage-level schedule
         assert a.status == b.status
+
+
+class TestEditOrientation:
+    """A pair's orientation is settled against the graph it edits: an
+    arc of a directed graph, an edge of an undirected one."""
+
+    def test_directed_edits_keep_their_arcs(self):
+        g = CSRGraph.from_edges(4, [(3, 1), (0, 2)], directed=True)
+        batch = EditBatch.from_lists(deletes=[(3, 1)], inserts=[(2, 0)])
+        ov = OverlayGraph.from_edits(g, batch)
+        assert not ov.has_edge(3, 1) and ov.has_edge(2, 0)
+        assert ov.has_edge(0, 2) and not ov.has_edge(1, 3)
+        eff = batch.normalized_against(g)
+        assert eff.deletes.tolist() == [[3, 1]] and eff.inserts.tolist() == [[2, 0]]
+        _assert_reads_identical(ov, CSRGraph.from_edges(4, [(0, 2), (2, 0)], directed=True))
+
+    def test_undirected_edits_are_edges_either_way(self):
+        g = CSRGraph.from_edges(4, [(3, 1), (0, 2)])
+        batch = EditBatch.from_lists(deletes=[(3, 1)], inserts=[(2, 1), (1, 2)])
+        eff = batch.normalized_against(g)
+        assert eff.deletes.tolist() == [[1, 3]] and eff.inserts.tolist() == [[1, 2]]
+        ov = OverlayGraph.from_edits(g, batch)
+        _assert_reads_identical(ov, CSRGraph.from_edges(4, [(0, 2), (1, 2)]))

@@ -129,6 +129,23 @@ class TestPartitionedGraph:
         assert PartitionedGraph.replicate(g, 0, 10) is a
         assert PartitionedGraph.replicate(g, 0, 11) is not a
 
+    def test_labels_keep_the_shard_view(self, graphs):
+        g = graphs["sparse"]
+        shard = PartitionedGraph.replicate(g, 0, 3)
+        labels = np.arange(g.num_vertices, dtype=np.int32) % 3
+        labeled = shard.with_labels(labels)
+        assert isinstance(labeled, PartitionedGraph)
+        assert labeled.owned_range == (0, 3)
+        assert labeled.labels.tolist() == labels.tolist() == labeled.base.labels.tolist()
+        assert labeled.local_num_vertices == shard.local_num_vertices
+        far = int(np.flatnonzero(labeled._local_row < 0)[0])
+        before = labeled.fallback_rows
+        assert labeled.neighbors(far).tolist() == g.neighbors(far).tolist()
+        assert labeled.fallback_rows == before + 1
+        plain = labeled.without_labels()
+        assert isinstance(plain, PartitionedGraph) and plain.labels is None
+        assert plain.owned_range == (0, 3)
+
     def test_no_nested_partitioning(self, graphs):
         shard = PartitionedGraph.replicate(graphs["dense"], 0, 10)
         with pytest.raises(TypeError):
