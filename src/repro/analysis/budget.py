@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 from repro.codemotion.depgraph import SetProgram
 from repro.core.config import EngineConfig
-from repro.graph.csr import (
-    ADJACENCY_BITMAP_MAX_VERTICES,
-    DEFAULT_BITMAP_THRESHOLD,
-    CSRGraph,
-)
+from repro.graph.csr import CSRGraph
 from repro.pattern.plan import MatchingPlan
 from repro.virtgpu.device import DeviceConfig
 
@@ -209,43 +205,6 @@ def lint_budget(
             "at a latency penalty (Sec. VIII-A)",
             hint=f"raise max_degree toward {graph.max_degree()} if memory allows",
         )
-    if graph is not None:
-        from repro.scale.backend import is_memmap_backed
-
-        bitmap_hostile = (
-            graph.num_vertices > ADJACENCY_BITMAP_MAX_VERTICES
-            or is_memmap_backed(graph)
-        )
-        if config.bitmap_threshold is None and not bitmap_hostile:
-            hub_deg = int(graph.max_degree())
-            if hub_deg >= DEFAULT_BITMAP_THRESHOLD:
-                rep.add(
-                    "B406", Severity.WARNING, "config.bitmap_threshold",
-                    f"max operand size {hub_deg} reaches the adjacency-bitmap "
-                    f"threshold ({DEFAULT_BITMAP_THRESHOLD}) but no bitmap index "
-                    "is configured: every set op against a hub neighbor list "
-                    "pays a host-side binary search the fast path could answer "
-                    "with an O(1) row lookup",
-                    hint=f"set EngineConfig(bitmap_threshold={DEFAULT_BITMAP_THRESHOLD}) "
-                    "to index hub adjacency rows (host wall-clock only; "
-                    "simulated cycles are unchanged)",
-                )
-        elif config.bitmap_threshold is not None and bitmap_hostile:
-            why = (
-                "is memory-mapped (densified hub rows would fault in and pin "
-                "the pages the memmap backend keeps cold)"
-                if is_memmap_backed(graph)
-                else f"has {graph.num_vertices} vertices "
-                f"(> {ADJACENCY_BITMAP_MAX_VERTICES}); each hub row "
-                "densifies to n bytes — an O(num_hubs × n) structure"
-            )
-            rep.add(
-                "B409", Severity.ERROR, "config.bitmap_threshold",
-                f"bitmap_threshold={config.bitmap_threshold} but the graph "
-                f"{why}; CSRGraph.adjacency_bitmap will refuse at run time",
-                hint="set bitmap_threshold=None for huge or out-of-core "
-                "graphs (simulated cycles are unchanged either way)",
-            )
     if (
         graph is not None
         and config.executor == "process"

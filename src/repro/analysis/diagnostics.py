@@ -140,9 +140,6 @@ RULE_REGISTRY: dict[str, RuleInfo] = {
             "B404": ("neighbor lists longer than max_degree spill to host memory",
                      "raise max_degree to the graph's maximum degree"),
             "B405": ("peak live-set report (informational)", "no action needed"),
-            "B406": ("hub operands reach the adjacency-bitmap threshold but no bitmap "
-                     "index is configured",
-                     "enable the adjacency bitmap index for hub-heavy graphs"),
             "B407": ("process-executor worker count exceeds the divisible shard/root-chunk "
                      "supply",
                      "lower num_workers or increase shard count"),
@@ -150,10 +147,6 @@ RULE_REGISTRY: dict[str, RuleInfo] = {
                      "budget",
                      "merge per-label set copies or lower unroll, or run the plan on the "
                      "interpreted fast path"),
-            "B409": ("adjacency bitmap configured on a huge or memory-mapped graph "
-                     "(each hub row densifies to n bytes)",
-                     "set bitmap_threshold=None for out-of-core graphs — densified hub "
-                     "rows defeat lazy paging and cost O(num_hubs × n) bytes"),
         }),
         _rules("steal protocol (runtime)", "repro.analysis.sanitizer", {
             "X501": ("steal segment duplicated between donor and thief",

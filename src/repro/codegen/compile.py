@@ -3,7 +3,7 @@
 The code cache is keyed by :func:`repro.codegen.emit.codegen_key` —
 graph-independent, exactly like the per-graph plan cache — so every
 engine over any data graph reuses one compiled module per
-(query, schedule, codegen-relevant knobs) tuple, and process-pool
+(query, schedule) pair, and process-pool
 workers rebuild identical kernels from the pickled ``(plan, config)``
 without code objects ever crossing the pipe.
 """

@@ -34,7 +34,7 @@ class CodegenCandidateComputer(CandidateComputer):
         super().__init__(graph, plan, config)
         self.kernel = compiled_kernel(plan, config)
 
-    def _walk(self, warp: Warp | None, stack: WarpStack, level: int, slot_arr: np.ndarray,
+    def _walk(self, warp: Warp, stack: WarpStack, level: int, slot_arr: np.ndarray,
               win: Window | None) -> Frame | np.ndarray:
         result: Frame | np.ndarray = self.kernel.levels[level](self.ops, warp, stack, slot_arr, win)
         return result

@@ -1,10 +1,8 @@
 """Per-(query, schedule) kernel source emission.
 
 :func:`emit_kernel_source` lowers one :class:`~repro.pattern.plan.
-MatchingPlan` (:func:`repro.core.lowering.lower`, with the two config
-knobs that shape candidate computation — ``degree_filter`` and whether
-a bitmap index exists) and prints each :class:`~repro.core.lowering.
-LevelProgram` as one straight-line ``level_{l}`` function: the walk
+MatchingPlan` (:func:`repro.core.lowering.lower`) and prints each
+:class:`~repro.core.lowering.LevelProgram` as one straight-line ``level_{l}`` function: the walk
 ``CandidateComputer._walk`` performs per frame, unrolled, with gather /
 tile / set indices resolved to local variables and the fused-filter
 constants frozen as literals.  Every run-time step is a call into the
@@ -47,8 +45,9 @@ def codegen_key(plan: MatchingPlan, config: EngineConfig) -> tuple[Any, ...]:
     """Graph-independent cache key for a compiled kernel.
 
     Keyed like the per-graph plan cache: everything that shapes the
-    emitted source — and nothing that doesn't (``config.unroll`` sizes
-    the slot batches at run time, not the code).  ``plan.order`` is the
+    emitted source — and nothing that doesn't: no ``config`` field does
+    (``config.unroll`` sizes the slot batches at run time, not the
+    code).  ``plan.order`` is the
     *resolved* matching order (order selection may have consulted a
     data graph, but the program is a pure function of the order), so
     two graphs sharing a query + schedule share one compiled kernel,
@@ -61,8 +60,6 @@ def codegen_key(plan: MatchingPlan, config: EngineConfig) -> tuple[Any, ...]:
         plan.symmetry_breaking,
         plan.code_motion,
         tuple(plan.order),
-        bool(config.degree_filter),
-        config.bitmap_threshold is not None,
     )
 
 
@@ -88,22 +85,19 @@ class _Writer:
 
 def emit_kernel_source(plan: MatchingPlan, config: EngineConfig) -> str:
     """Emit the specialized kernel module for ``plan`` (deterministic)."""
-    degree_filter = bool(config.degree_filter)
-    bitmap_on = config.bitmap_threshold is not None
     w = _Writer()
     w('"""Generated STMatch kernel (repro.codegen) -- DO NOT EDIT.')
     w()
     w(f"plan: size={plan.size} sets={plan.program.num_sets} order={tuple(plan.order)}")
     w(f"      induced={plan.vertex_induced} symmetry={plan.symmetry_breaking} "
       f"code_motion={plan.code_motion}")
-    w(f"config: degree_filter={degree_filter} bitmap={bitmap_on}")
     w()
     w("One straight-line function per stack level: the lowered level")
     w("program's walk, unrolled.  Every step is a repro.core.levelops call")
     w("(the NumPy work and its Warp cost), so matches AND simulated")
     w("cycles equal the interpreted tier's by construction.")
     w('"""')
-    levels = lower(plan, degree_filter, bitmap_on)
+    levels = lower(plan)
     for lp in levels:
         w()
         w()
@@ -170,14 +164,11 @@ def _emit_level(w: _Writer, lp: LevelProgram) -> None:
         else:
             w(f"vals, segs = {'t' if st.src is Src.TILE else 's'}{st.arg}", 1)
         for op in st.ops:
-            found = (f", ops.bitmap_found(vals, segs, g{op.gather}, slot_arr)"
-                     if op.bitmap else "")
-            w(f"vals, segs = ops.set_op(warp, vals, segs, g{op.gather}, "
-              f"{op.difference}{found})", 1)
+            w(f"vals, segs = ops.set_op(warp, vals, segs, g{op.gather}, {op.difference})", 1)
         w(f"s{st.sid} = ops.seal(warp, vals, segs, "
           f"{st.sid if st.labels is not None else None}, nslots, {not st.ops})", 1)
     w(f"# candidates for position {level}: S{lp.cand_sid}, fused filter", 1)
-    consts = f"{lp.floor_positions!r}, {lp.uses_slot}, {lp.label}, {lp.degree_need}"
+    consts = f"{lp.floor_positions!r}, {lp.uses_slot}, {lp.label}"
     if lp.cand_level == level:
         cand = f"s{lp.cand_sid}"
     else:

@@ -67,50 +67,28 @@ class CandidateComputer:
                     for lab in r.label_filter:
                         lut[lab] = True
                     self._label_luts[r.label_filter] = lut
-        # degree-filter extension: candidate degree must reach the query
-        # vertex's degree (in+out for directed queries)
-        self._graph_degree = None
-        if config.degree_filter:
-            self._graph_degree = graph.degree()
-            if graph.directed:
-                self._graph_degree = self._graph_degree + graph.reversed_view().degree()
         self.root_candidates = self._build_root_candidates()
         # the run-time half of the lowered program: label LUTs by set id
-        # (a LevelProgram names a filter by the set carrying it), the
-        # degree table, and the optional adjacency-bitmap index for
-        # high-degree operand vertices
-        thr = config.bitmap_threshold
-        bitmap = graph.adjacency_bitmap(thr) if thr is not None else None
-        bitmap_in = bitmap
-        if bitmap is not None and graph.directed:
-            bitmap_in = graph.reversed_view().adjacency_bitmap(thr)
+        # (a LevelProgram names a filter by the set carrying it)
         self.ops = LevelOps(
             graph, self.slot_capacity,
             {sid: self._label_luts[r.label_filter]
              for sid, r in enumerate(self.program.recipes)
              if r.label_filter in self._label_luts},
-            self._graph_degree, bitmap, bitmap_in,
         )
 
     @cached_property
     def levels(self) -> tuple[LevelProgram, ...]:
-        """The plan lowered for this config; ``levels[l - 1]`` is level
-        ``l`` (lowered on first use: compiled kernels never walk it)."""
-        return lower(self.plan, bool(self.config.degree_filter),
-                     self.config.bitmap_threshold is not None)
+        """The plan lowered; ``levels[l - 1]`` is level ``l`` (lowered
+        on first use: compiled kernels never walk it)."""
+        return lower(self.plan)
 
     # -- roots -------------------------------------------------------------
 
     def _build_root_candidates(self) -> np.ndarray:
         root_recipe = self.program.recipes[self.program.candidate_of_level[0]]
         verts = np.arange(self.graph.num_vertices, dtype=np.int32)
-        verts = self._apply_label_filter(verts, root_recipe.label_filter)
-        if self._graph_degree is not None and verts.size:
-            q = self.plan.query
-            need = int(q.adj[0].sum() + (q.adj[:, 0].sum() if q.directed else 0))
-            if need > 1:
-                verts = verts[self._graph_degree[verts] >= need]
-        return verts
+        return self._apply_label_filter(verts, root_recipe.label_filter)
 
     def root_frame(self, chunk: np.ndarray) -> Frame:
         """Level-0 frame over one chunk of the global vertex range."""
@@ -136,11 +114,11 @@ class CandidateComputer:
 
     def compute_frame(
         self,
-        warp: Warp | None,
+        warp: Warp,
         stack: WarpStack,
         level: int,
         slot_vertices: np.ndarray,
-        count_only: bool | Window = False,
+        count_only: Window | None = None,
     ) -> Frame | np.ndarray:
         """Build the frame entered at ``level`` for a batch of slots.
 
@@ -152,36 +130,31 @@ class CandidateComputer:
         line 16) the per-slot *filtered candidate counts* are returned
         as a read-only ``int64`` array instead of a :class:`Frame`, and
         the last-level candidate arrays are never materialized.  Cycle
-        charges are identical either way.  The kernel passes the
+        charges are identical either way.  ``count_only`` is the
         :data:`~repro.core.levelops.Window` ``(cand, lo, hi)`` the batch
-        was cut from (``slot_vertices == cand[lo:hi]``, ``cand`` the
-        top frame's active slot) instead of ``True``, so a leaf does
-        its host work once per parent frame rather than once per batch:
-        a window the plan of that frame already covers is replayed
+        was cut from (``slot_vertices == cand[lo:hi]``; the kernel's
+        ``cand`` is the top frame's active slot), so a leaf does its
+        host work once per parent frame rather than once per batch: a
+        window the plan of that frame already covers is replayed
         (``LevelOps.replay``) before anything else — no walk, no prefix
         rebuild — and only a window it does not cover enters the walk,
-        whose leaf plans it.  ``True`` makes the batch a standalone
-        window of itself.
+        whose leaf plans it.  A falsy value builds the frame.
         """
         slot_arr = np.asarray(slot_vertices, dtype=np.int32)
         if slot_arr.size == 0:
             raise ValueError("a frame needs at least one slot")
         if not count_only:
-            win = None
-        elif isinstance(count_only, tuple):
-            counts = self.ops.replay(warp, stack, count_only)
-            if counts is not None:
-                return counts
-            win = count_only
-        else:  # the batch is its own parent slot
-            win = (slot_arr, 0, int(slot_arr.size))
-        return self._walk(warp, stack, level, slot_arr, win)
+            return self._walk(warp, stack, level, slot_arr, None)
+        counts = self.ops.replay(warp, stack, count_only)
+        if counts is not None:
+            return counts
+        return self._walk(warp, stack, level, slot_arr, count_only)
 
     # -- the lowered walk ---------------------------------------------------
 
     def _walk(
         self,
-        warp: Warp | None,
+        warp: Warp,
         stack: WarpStack,
         level: int,
         slot_arr: np.ndarray,
@@ -225,9 +198,7 @@ class CandidateComputer:
             else:
                 vals, segs = sets[st.arg]
             for op in st.ops:
-                opnd = opnds[op.gather]
-                found = ops.bitmap_found(vals, segs, opnd, slot_arr) if op.bitmap else None
-                vals, segs = ops.set_op(warp, vals, segs, opnd, op.difference, found)
+                vals, segs = ops.set_op(warp, vals, segs, opnds[op.gather], op.difference)
             sets[st.sid] = ops.seal(warp, vals, segs, st.sid if st.labels is not None else None,
                                     nslots, not st.ops)
         if lp.cand_level == level:
@@ -236,7 +207,7 @@ class CandidateComputer:
             ca = frames[lp.cand_level].set_instance(lp.cand_sid)
             if leaf is Leaf.TALLY:
                 return ops.leaf_tally(warp, stack, win, m_prefix, ca, lp.floor_positions,
-                                      lp.uses_slot, lp.label, lp.degree_need, lp.frame_wide)
+                                      lp.uses_slot, lp.label, lp.frame_wide)
             cand = ops.tile(ca, nslots)
         return ops.finish(warp, level, slot_arr, m_prefix, cand, lp.floor_positions,
-                          lp.uses_slot, lp.label, lp.degree_need, win is not None, sets)
+                          lp.uses_slot, lp.label, win is not None, sets)

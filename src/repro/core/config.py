@@ -63,22 +63,11 @@ class EngineConfig:
     code_motion: bool = True
     device: DeviceConfig = DeviceConfig()
     max_results: int | None = None
-    degree_filter: bool = False
-    #   optional pruning extension (not in the paper): drop candidates
-    #   whose data-graph degree is below their query vertex's degree — a
-    #   necessary condition under both matching semantics, so counts are
-    #   unchanged (asserted by tests) while subtrees shrink
     sanitize: bool = False
     #   opt-in runtime sanitizer (repro.analysis.sanitizer): statically
     #   verifies the plan at launch and checks every steal for segment
     #   disjointness, conservation and frame invariants; raises
     #   SanitizerError instead of silently corrupting counts
-    bitmap_threshold: int | None = None
-    #   optional adjacency bitmap index (GSI-style): vertices whose
-    #   degree reaches the threshold get dense boolean adjacency rows so
-    #   hot operand membership tests are O(1) lookups on the host.
-    #   None disables the index; the simulated binary-search charges are
-    #   unchanged either way.
     checkpoint_interval: int | None = None
     #   stack checkpointing (repro.core.checkpoint): snapshot the whole
     #   launch (C/Csize/iter/uiter + root counter) every N root chunks.
@@ -163,8 +152,6 @@ class EngineConfig:
             raise ValueError("max_degree must be >= 1")
         if self.max_results is not None and self.max_results < 1:
             raise ValueError("max_results must be >= 1 (or None for exhaustive)")
-        if self.bitmap_threshold is not None and self.bitmap_threshold < 1:
-            raise ValueError("bitmap_threshold must be >= 1 (or None to disable)")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError(
                 "checkpoint_interval must be >= 1 root chunks (or None to disable)"

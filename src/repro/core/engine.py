@@ -55,8 +55,8 @@ def cached_plan(
 
     The shared planning entry point for every engine (STMatch and the
     Dryadic baseline): plans are cached on the *graph* (the same pattern
-    as its degree/bitmap caches) in a counting LRU keyed by every input
-    that shapes the plan, so fresh engine constructions — one per
+    as its degree and reversed-view caches) in a counting LRU keyed by
+    every input that shapes the plan, so fresh engine constructions — one per
     ``run_multi_gpu`` shard, one per baseline A/B arm — replan at most
     once per distinct combination.  Plans are immutable, so sharing one
     across shards (and pickling it to process-pool workers) is safe.

@@ -14,7 +14,8 @@ Fig. 7 reference's (``tests/oracle.py``) call for call (same amounts, same order
 count-only leaves charge what materializing and filtering their
 candidates would have cost, without building them.  Graph reads go
 through the graph-read API (``neighbors``, ``neighbors_batch``,
-``degree``) only, so overlays and partition views serve their own rows.
+``degree``, ``self_loop_mask``) only, so overlays and partition views
+serve their own rows.
 """
 
 from __future__ import annotations
@@ -39,22 +40,17 @@ Segmented = tuple[np.ndarray, np.ndarray]  # (values, segment ids), segment-sort
 #: candidate array, which the kernel consumes UNROLL at a time
 Window = tuple[np.ndarray, int, int]
 
-_SCAN_CHUNK = 1 << 16
-
 
 class Operand(NamedTuple):
-    """One gathered neighbor list: per slot (``offs`` / ``segs`` set,
-    ``keys`` when it is a set-op operand) or one prefix vertex's list
-    shared by all slots (``offs is None``).  ``width`` is the longest
-    list — the operand size the cost model prices a search against."""
+    """One gathered neighbor list: per slot (``segs`` set, ``keys``
+    when it is a set-op operand) or one prefix vertex's list shared by
+    all slots (``segs is None``).  ``width`` is the longest list — the
+    operand size the cost model prices a search against."""
 
     vals: np.ndarray
-    offs: np.ndarray | None
     segs: np.ndarray | None
     keys: np.ndarray | None
     width: int
-    vertex: int
-    inbound: bool
 
 
 class _LeafMemo:
@@ -83,16 +79,15 @@ class _LeafPlan:
 
     Part ``i`` is the array ``cands[i]`` counted under the prefix
     ``head + [own[i]]``; its candidates sit at ``offs[i]:offs[i + 1]``
-    of the vectors.  A plan bound to a parent ``frame`` covers its
-    slots ``first, first + 1, …``; a standalone plan (``frame is
-    None``) covers one array.  The one-part plan is the same code with
-    one part.
+    of the vectors.  A plan is bound to its parent ``frame`` and covers
+    the slots ``first, first + 1, …`` of it.  The one-part plan is the
+    same code with one part.
     """
 
     __slots__ = ("frame", "first", "cands", "own", "offs", "head", "counts")
 
     leaf: ClassVar[Leaf]  # the leaf that builds it
-    frame: Frame | None
+    frame: Frame
     first: int
     cands: list[np.ndarray]
     own: list[int]
@@ -100,7 +95,7 @@ class _LeafPlan:
     head: list[int]
     counts: np.ndarray
 
-    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
+    def replay(self, warp: Warp, lo: int, hi: int) -> np.ndarray:
         """Window ``[lo, hi)`` of the vectors: its charges — same
         amounts, same order as evaluating the batch on its own — and
         its counts, a read-only view."""
@@ -129,15 +124,14 @@ class _GatherFreePlan(_LeafPlan):
     __slots__ = ("sums",)
     sums: Sums
 
-    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
-        if warp is not None:
-            run, over = self.sums
-            total = run[hi] - run[lo]
-            warp.charge_copy(total)
-            if over is not None:
-                _charge_spill(warp, over[hi] - over[lo])
-            if total:
-                warp.charge_filter(total)
+    def replay(self, warp: Warp, lo: int, hi: int) -> np.ndarray:
+        run, over = self.sums
+        total = run[hi] - run[lo]
+        warp.charge_copy(total)
+        if over is not None:
+            _charge_spill(warp, over[hi] - over[lo])
+        if total:
+            warp.charge_filter(total)
         out: np.ndarray = self.counts[lo:hi]
         return out
 
@@ -152,17 +146,16 @@ class _FlippedPlan(_LeafPlan):
     widths: list[int]
     sums: Sums
 
-    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
-        if warp is not None:
-            nslots = hi - lo
-            total = self.nref * nslots
-            _charge_set_op(warp, nslots if total else 0, total, max(self.widths[lo:hi]))
-            run, over = self.sums
-            if over is not None:
-                _charge_spill(warp, over[hi] - over[lo])
-            kept = run[hi] - run[lo]
-            if kept:
-                warp.charge_filter(kept)
+    def replay(self, warp: Warp, lo: int, hi: int) -> np.ndarray:
+        nslots = hi - lo
+        total = self.nref * nslots
+        _charge_set_op(warp, nslots if total else 0, total, max(self.widths[lo:hi]))
+        run, over = self.sums
+        if over is not None:
+            _charge_spill(warp, over[hi] - over[lo])
+        kept = run[hi] - run[lo]
+        if kept:
+            warp.charge_filter(kept)
         out: np.ndarray = self.counts[lo:hi]
         return out
 
@@ -174,8 +167,8 @@ class _TallyPlan(_LeafPlan):
     __slots__ = ("m",)
     m: int
 
-    def replay(self, warp: Warp | None, lo: int, hi: int) -> np.ndarray:
-        if warp is not None and self.m:
+    def replay(self, warp: Warp, lo: int, hi: int) -> np.ndarray:
+        if self.m:
             warp.charge_filter(self.m * (hi - lo))
         out: np.ndarray = self.counts[lo:hi]
         return out
@@ -208,18 +201,12 @@ class LevelOps:
         graph: CSRGraph,
         slot_capacity: int,
         luts: dict[int, np.ndarray],
-        graph_degree: np.ndarray | None,
-        bitmap: dict[int, np.ndarray] | None,
-        bitmap_in: dict[int, np.ndarray] | None,
     ) -> None:
         self.graph = graph
         self.labels = graph.labels
         self.n = graph.num_vertices
         self.cap = slot_capacity
         self.luts = luts  # set id -> boolean label LUT
-        self.graph_degree = graph_degree
-        self.bitmap = bitmap
-        self.bitmap_in = bitmap_in
         # seg ids are read-only (they feed repeat/tile), so one arange
         # per distinct slot count is shared
         self._seg_cache: dict[int, np.ndarray] = {}
@@ -259,13 +246,13 @@ class LevelOps:
         lens = offs[1:] - offs[:-1]
         segs = self._seg_ids(slot_arr.size).repeat(lens)
         if not keyed:
-            return Operand(vals, offs, segs, None, 0, -1, inbound)
-        return Operand(vals, offs, segs, vals + segs * self.n, max(lens.tolist()), -1, inbound)
+            return Operand(vals, segs, None, 0)
+        return Operand(vals, segs, vals + segs * self.n, max(lens.tolist()))
 
     def gather_prefix(self, vertex: int, inbound: bool) -> Operand:
         """One already-matched vertex's list, shared by every slot."""
         vals = self._graph(inbound).neighbors(vertex)
-        return Operand(vals, None, None, None, int(vals.size), vertex, inbound)
+        return Operand(vals, None, None, int(vals.size))
 
     def tile(self, arr: np.ndarray, nslots: int) -> Segmented:
         """``arr`` once per slot."""
@@ -273,69 +260,35 @@ class LevelOps:
 
     # -- set steps -----------------------------------------------------------
 
-    def bitmap_found(self, vals: np.ndarray, segs: np.ndarray, opnd: Operand,
-                     slot_arr: np.ndarray) -> np.ndarray | None:
-        """Membership mask via the adjacency-bitmap index, or ``None``
-        when no bitmap row covers the operand vertex.  Bitmap hits are
-        exact set membership; only host time changes."""
-        bm = self.bitmap_in if opnd.inbound else self.bitmap
-        if bm is None or vals.size == 0:
-            return None
-        found: np.ndarray
-        if opnd.offs is None:
-            row = bm.get(opnd.vertex)
-            if row is None:
-                return None
-            found = row[vals]
-            return found
-        slots = slot_arr.tolist()
-        if not any(v in bm for v in slots):
-            return None
-        found = np.empty(vals.size, dtype=bool)
-        bounds = segs.searchsorted(self._seg_ids(len(slots) + 1)).tolist()
-        offs = opnd.offs.tolist()
-        for u, v in enumerate(slots):
-            sl = slice(bounds[u], bounds[u + 1])
-            row = bm.get(v)
-            if row is not None:
-                found[sl] = row[vals[sl]]
-            else:
-                found[sl] = member_sorted(opnd.vals[offs[u]:offs[u + 1]], vals[sl])
-        return found
-
-    def set_op(self, warp: Warp | None, vals: np.ndarray, segs: np.ndarray, opnd: Operand,
-               difference: bool, found: np.ndarray | None = None) -> Segmented:
+    def set_op(self, warp: Warp, vals: np.ndarray, segs: np.ndarray, opnd: Operand,
+               difference: bool) -> Segmented:
         """Intersect each slot's values with (or subtract) its operand:
         one sorted search for the whole batch (Fig. 8), keyed by
-        ``value + segment * n`` when the operand differs per slot.  The
-        charge is always the binary-search cost model's, whatever
-        computed ``found``."""
+        ``value + segment * n`` when the operand differs per slot."""
         total = vals.size
-        if warp is not None:
-            _charge_set_op(warp, int(segs[-1]) + 1 if total else 0, total, opnd.width)
+        _charge_set_op(warp, int(segs[-1]) + 1 if total else 0, total, opnd.width)
         if not total:
             return vals, segs
-        if found is None:
-            if opnd.keys is None:
-                found = member_sorted(opnd.vals, vals)
-            else:
-                found = member_sorted(opnd.keys, vals + segs * self.n)
+        if opnd.keys is None:
+            found = member_sorted(opnd.vals, vals)
+        else:
+            found = member_sorted(opnd.keys, vals + segs * self.n)
         if difference:
             np.logical_not(found, out=found)
         return vals[found], segs[found]
 
-    def seal(self, warp: Warp | None, vals: np.ndarray, segs: np.ndarray,
+    def seal(self, warp: Warp, vals: np.ndarray, segs: np.ndarray,
              label_sid: int | None, nslots: int, copied: bool = False) -> Segmented:
         """Finish a set: the copy charge of an op-less recipe (its base
         is stored into ``C`` as is, e.g. C1 = N(v0)), the merged label
         filter, then the host-memory penalty for slots that outgrow one
         ``C`` slot."""
-        if copied and warp is not None:
+        if copied:
             warp.charge_copy(int(vals.size))
         if label_sid is not None and vals.size:
             keep = self.luts[label_sid][self._labels_of(vals)]
             vals, segs = vals[keep], segs[keep]
-        if warp is not None and vals.size > self.cap:
+        if vals.size > self.cap:
             # a slot can only spill when the whole batch outgrows one
             counts = np.bincount(segs, minlength=nslots)
             _charge_spill(warp, int(np.maximum(counts - self.cap, 0).sum()))
@@ -347,16 +300,11 @@ class LevelOps:
         out: np.ndarray = self.labels[vals]
         return out
 
-    def _degrees_of(self, vals: np.ndarray) -> np.ndarray:
-        assert self.graph_degree is not None  # a need > 1 exists only under degree_filter
-        out: np.ndarray = self.graph_degree[vals]
-        return out
-
     # -- fused candidate filter + frame assembly -------------------------------
 
     def finish(
         self,
-        warp: Warp | None,
+        warp: Warp,
         level: int,
         slot_arr: np.ndarray,
         m_prefix: list[int],
@@ -364,15 +312,14 @@ class LevelOps:
         floor_positions: tuple[int, ...],
         uses_slot: bool,
         label: int | None,
-        need: int,
         count_only: bool,
         sets: dict[int, Segmented],
     ) -> Frame | np.ndarray:
         """Filter the level's raw candidates and build the frame (or,
         ``count_only``, the per-slot counts).
 
-        Injectivity, the symmetry floor, the level label and the degree
-        need are independent elementwise predicates, so one fused mask
+        Injectivity, the symmetry floor and the level label are
+        independent elementwise predicates, so one fused mask
         replaces the per-slot reference's sequential compactions (same
         surviving set, same one ``charge_filter`` over the unfiltered
         size).
@@ -394,11 +341,8 @@ class LevelOps:
                     keep &= cvals != w
             if label is not None:
                 keep &= self._labels_of(cvals) == label
-            if need > 1:
-                keep &= self._degrees_of(cvals) >= need
             csegs = csegs[keep]
-            if warp is not None:
-                warp.charge_filter(total)
+            warp.charge_filter(total)
         if count_only:
             return np.bincount(csegs, minlength=nslots).astype(np.int64, copy=False)
         if total:
@@ -426,24 +370,15 @@ class LevelOps:
 
     def self_loops(self, inbound: bool) -> np.ndarray | None:
         """Boolean mask of the vertices listed in their own out- (or
-        in-) neighbor list, ``None`` when there are none.  One chunked
-        scan of the rows per graph object, cached on it (same attach
-        idiom as its ``_reversed_cache``)."""
+        in-) neighbor list, ``None`` when there are none.  The graph
+        answers from its arrays (``self_loop_mask``), reading no row
+        through the row API."""
         if inbound not in self._loops:
-            g = self._graph(inbound)
-            mask = getattr(g, "_selfloop_mask", None)
-            if mask is None:
-                mask = np.zeros(self.n, dtype=bool)
-                for lo in range(0, self.n, _SCAN_CHUNK):
-                    vs = np.arange(lo, min(lo + _SCAN_CHUNK, self.n), dtype=np.int64)
-                    vals, offs = g.neighbors_batch(vs)
-                    rows = vs.repeat(offs[1:] - offs[:-1])
-                    mask[rows[vals == rows]] = True
-                object.__setattr__(g, "_selfloop_mask", mask)
+            mask = self._graph(inbound).self_loop_mask()
             self._loops[inbound] = mask if mask.any() else None
         return self._loops[inbound]
 
-    def replay(self, warp: Warp | None, stack: WarpStack, win: Window) -> np.ndarray | None:
+    def replay(self, warp: Warp, stack: WarpStack, win: Window) -> np.ndarray | None:
         """The counts of ``win`` from the plan ``stack``'s parent frame
         holds, its charges issued; ``None`` when no plan covers it.
 
@@ -477,14 +412,9 @@ class LevelOps:
             ent = self._memo[id(stack)] = _LeafMemo(shared)
             return ent, None, 0
         plan = ent.plan
-        if plan is None:
+        if plan is None or plan.frame is not stack.frames[-1]:
             return ent, None, 0
-        if plan.frame is None:
-            i = 0
-        elif plan.frame is stack.frames[-1]:
-            i = plan.frame.uiter - plan.first
-        else:
-            return ent, None, 0
+        i = plan.frame.uiter - plan.first
         if (0 <= i < len(plan.cands) and plan.cands[i] is win[0]
                 and plan.own[i] == m_prefix[-1] and plan.head == m_prefix[:-1]):
             return ent, plan, plan.offs[i]
@@ -492,24 +422,21 @@ class LevelOps:
 
     def _new_plan(self, ent: _LeafMemo, plan: _LeafPlan, stack: WarpStack, win: Window,
                   m_prefix: list[int], frame_wide: bool) -> np.ndarray:
-        """Fill in what ``plan`` covers and install it; returns its
-        candidates, concatenated.  A window cut from the parent frame's
-        active slot (the kernel's) binds the plan to that frame: its
-        parts are that slot and, ``frame_wide``, every later one with
-        candidates.  Any other window is a standalone one-part plan.
-        Either way the window's part is the first."""
+        """Fill in what ``plan`` covers and install it, bound to the
+        parent (top) frame; returns its candidates, concatenated.  The
+        window's part is the first.  A window cut from the frame's
+        active slot (the kernel's) covers, ``frame_wide``, every later
+        slot with candidates too; any other window is a one-part plan
+        of its own array."""
         cand = win[0]
         f = stack.frames[-1]
         u = f.uiter
+        plan.frame, plan.first = f, u
         stop = u + 1
-        if cand is f.cand[u]:
-            plan.frame, plan.first = f, u
-            if frame_wide:
-                stop = len(f.cand)
-                while stop > u + 1 and not f.cand[stop - 1].size:  # no window cuts these
-                    stop -= 1
-        else:
-            plan.frame, plan.first = None, 0
+        if frame_wide and cand is f.cand[u]:
+            stop = len(f.cand)
+            while stop > u + 1 and not f.cand[stop - 1].size:  # no window cuts these
+                stop -= 1
         plan.head = m_prefix[:-1]
         ent.plan = plan
         if stop == u + 1:
@@ -565,7 +492,7 @@ class LevelOps:
             sizes = [hi - lo for lo, hi in zip(offs, offs[1:])]
             counts -= member_sorted(hay, cand + self._seg_ids(len(own)).repeat(sizes) * n)
 
-    def leaf_gather_free(self, warp: Warp | None, stack: WarpStack, win: Window,
+    def leaf_gather_free(self, warp: Warp, stack: WarpStack, win: Window,
                          m_prefix: list[int], inbound: bool, frame_wide: bool) -> np.ndarray:
         """Candidates are the slots' own neighbor lists, unfiltered
         apart from injectivity: the counts are row lengths minus the
@@ -585,7 +512,7 @@ class LevelOps:
             plan.counts, plan.sums = counts, self._running(lens)
         return plan.replay(warp, off + win[1], off + win[2])
 
-    def leaf_flipped(self, warp: Warp | None, stack: WarpStack, win: Window,
+    def leaf_flipped(self, warp: Warp, stack: WarpStack, win: Window,
                      m_prefix: list[int], ref: np.ndarray, inbound: bool,
                      frame_wide: bool) -> np.ndarray:
         """Candidates are ``ref ∩ N(slot)`` for a shared earlier set
@@ -631,7 +558,7 @@ class LevelOps:
 
     def leaf_tally(
         self,
-        warp: Warp | None,
+        warp: Warp,
         stack: WarpStack,
         win: Window,
         m_prefix: list[int],
@@ -639,7 +566,6 @@ class LevelOps:
         floor_positions: tuple[int, ...],
         uses_slot: bool,
         label: int | None,
-        need: int,
         frame_wide: bool,
     ) -> np.ndarray:
         """Candidates are one shared earlier set ``ca``: every slot
@@ -653,18 +579,18 @@ class LevelOps:
             cand = self._new_plan(ent, plan, stack, win, m_prefix, frame_wide)
             plan.m = int(ca.size)
             plan.counts = self._tally(cand, plan, ca, _floor(m_prefix, floor_positions),
-                                      uses_slot, label, need)
+                                      uses_slot, label)
         return plan.replay(warp, off + win[1], off + win[2])
 
     def _tally(self, cand: np.ndarray, plan: _LeafPlan, ca: np.ndarray, floor: int,
-               uses_slot: bool, label: int | None, need: int) -> np.ndarray:
+               uses_slot: bool, label: int | None) -> np.ndarray:
         """Per candidate, the members of sorted ``ca`` that pass the
         fused filter under its part's prefix.  The vertices every
         candidate uses (``plan.head``, plus the own vertex of a one-part
-        plan) are settled once: unlabeled with no degree need, the
-        membership test is inverted (the few used vertices are searched
-        in ``ca``), so no O(|ca|) array is built; otherwise one mask
-        over ``ca`` and sorted cuts.  Each part's own vertex of a
+        plan) are settled once: unlabeled, the membership test is
+        inverted (the few used vertices are searched in ``ca``), so no
+        O(|ca|) array is built; labelled, one mask over ``ca`` and
+        sorted cuts.  Each part's own vertex of a
         multi-part plan is then uncounted in its part only.  ``floor``
         is the same for every part (a floor reading the own vertex
         makes a one-part plan)."""
@@ -674,13 +600,10 @@ class LevelOps:
         one = len(plan.own) == 1
         used = np.asarray(plan.head + plan.own if one else plan.head, dtype=ca.dtype)
         keep = None
-        if label is not None or need > 1:
+        if label is not None:
             keep = member_sorted(np.sort(used), ca)
             np.logical_not(keep, out=keep)
-            if label is not None:
-                keep &= self._labels_of(ca) == label
-            if need > 1:
-                keep &= self._degrees_of(ca) >= need
+            keep &= self._labels_of(ca) == label
         else:
             hit = used[member_sorted(ca, used)]
         counts: np.ndarray

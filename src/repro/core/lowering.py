@@ -74,12 +74,10 @@ class Tile:
 
 @dataclass(frozen=True)
 class OpStep:
-    """Intersect with (or subtract) gather ``gather``; ``bitmap`` asks
-    for the adjacency-bitmap probe before the sorted search."""
+    """Intersect with (or subtract) gather ``gather``."""
 
     gather: int
     difference: bool
-    bitmap: bool
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,6 @@ class LevelProgram:
     floor_positions: tuple[int, ...]  # restricted prefix positions (< level - 1)
     uses_slot: bool  # position level - 1 is restricted too
     label: int | None
-    degree_need: int  # 0 when the degree filter is off
     leaf: Leaf
     #: the leaf's inputs other than the slot's own vertex are the same
     #: for every slot of the parent frame (level - 1), so one plan
@@ -116,17 +113,13 @@ class LevelProgram:
     frame_wide: bool
 
 
-def lower(plan: MatchingPlan, degree_filter: bool, bitmap_on: bool) -> tuple[LevelProgram, ...]:
+def lower(plan: MatchingPlan) -> tuple[LevelProgram, ...]:
     """Level programs for stack levels ``1 .. plan.size - 1`` (level 0
     is the root frame and computes nothing)."""
-    return tuple(
-        _lower_level(plan, level, degree_filter, bitmap_on) for level in range(1, plan.size)
-    )
+    return tuple(_lower_level(plan, level) for level in range(1, plan.size))
 
 
-def _lower_level(
-    plan: MatchingPlan, level: int, degree_filter: bool, bitmap_on: bool
-) -> LevelProgram:
+def _lower_level(plan: MatchingPlan, level: int) -> LevelProgram:
     recipes = plan.program.recipes
     gathers: list[Gather] = []
     tiles: list[Tile] = []
@@ -161,8 +154,7 @@ def _lower_level(
         else:  # ALL appears only at level 0, served by root_frame
             raise AssertionError("ALL base outside the root frame")
         ops = tuple(
-            OpStep(gather(op.position, op.inbound, as_op=True),
-                   op.kind is OpKind.DIFFERENCE, bitmap_on)
+            OpStep(gather(op.position, op.inbound, as_op=True), op.kind is OpKind.DIFFERENCE)
             for op in r.ops
         )
         labels = None if r.label_filter is None else tuple(sorted(r.label_filter))
@@ -173,9 +165,6 @@ def _lower_level(
     cand_level = recipes[cand_sid].level
     restrictions = tuple(plan.restrictions[level])
     label = int(q.labels[level]) if q.labels is not None else None
-    need = 0
-    if degree_filter:
-        need = int(q.adj[level].sum() + (q.adj[:, level].sum() if q.directed else 0))
 
     # count-only leaves: the last level is only ever counted, so three
     # shapes never need their candidate values (levelops.leaf_*)
@@ -184,7 +173,7 @@ def _lower_level(
         if cand_level != level:
             leaf = Leaf.TALLY
         elif (len(steps) == 1 and steps[0].labels is None and label is None
-              and need <= 1 and not restrictions):
+              and not restrictions):
             # unfiltered apart from injectivity, which the leaves
             # settle per slot without the values
             st = steps[0]
@@ -212,7 +201,6 @@ def _lower_level(
         floor_positions=floor_positions,
         uses_slot=(level - 1) in restrictions,
         label=label,
-        degree_need=need,
         leaf=leaf,
         frame_wide=frame_wide,
     )

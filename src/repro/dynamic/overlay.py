@@ -1,13 +1,13 @@
 """Delta-overlay graphs: a mutable view over an immutable CSR base.
 
 :class:`~repro.graph.csr.CSRGraph` is deliberately immutable — every
-cache (degrees, bitmaps, plans) hangs off the object, and the process
+cache (degrees, reversed views, plans) hangs off the object, and the process
 backend shares its arrays zero-copy.  Batch-dynamic matching needs a
 *mutated* graph without paying a full rebuild per batch, so this module
 adds :class:`OverlayGraph`: the base CSR plus two sorted delta-arc
 arrays (inserts and deletes), exposing the **same read API**
 (``neighbors`` / ``neighbors_batch`` / ``degree`` / ``has_edge`` /
-``adjacency_bitmap`` / …) so the candidate computer, the fast path and
+``self_loop_mask`` / …) so the candidate computer, the fast path and
 the whole engine run on it unmodified.  ``compact()`` merges the deltas
 into a fresh validated CSR when the overlay grows past its usefulness.
 
@@ -231,7 +231,6 @@ class OverlayGraph:
         self._touched = touched
         self._row_cache: dict[int, np.ndarray] = {}
         self._degree_cache: np.ndarray | None = None
-        self._bitmap_cache: dict[int, dict[int, np.ndarray]] = {}
         self._reversed_cache: "OverlayGraph | None" = None
 
     # -- construction ------------------------------------------------------
@@ -468,19 +467,10 @@ class OverlayGraph:
             return True
         return self.base.has_edge(int(u), int(v))
 
-    def adjacency_bitmap(self, threshold: int) -> dict[int, np.ndarray]:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        rows = self._bitmap_cache.get(threshold)
-        if rows is None:
-            rows = {}
-            deg = np.asarray(self.degree())
-            for v in np.nonzero(deg >= threshold)[0]:
-                row = np.zeros(self.num_vertices, dtype=bool)
-                row[self.neighbors(int(v))] = True
-                rows[int(v)] = row
-            self._bitmap_cache[threshold] = rows
-        return rows
+    def self_loop_mask(self) -> np.ndarray:
+        """The base's: a delta arc is never a self-loop (``violations``),
+        so no edit adds or removes one."""
+        return self.base.self_loop_mask()
 
     def max_degree(self) -> int:
         deg = np.asarray(self.degree())

@@ -18,26 +18,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
-    "ADJACENCY_BITMAP_MAX_VERTICES",
     "CSRGraph",
-    "DEFAULT_BITMAP_THRESHOLD",
     "SLICE_GATHER_ROWS",
     "gather_rows",
 ]
-
-#: degree at which a vertex's neighbor list is worth a dense bitmap row:
-#: membership tests against such operands dominate ``getCandidates`` on
-#: skewed graphs (GSI's encoding-table argument), and the B406 lint rule
-#: flags graphs whose max degree crosses this line.
-DEFAULT_BITMAP_THRESHOLD = 1024
-
-#: hard ceiling on ``num_vertices`` for :meth:`CSRGraph.adjacency_bitmap`.
-#: Each hub row densifies to ``n`` bytes, so on out-of-core graphs the
-#: bitmap quietly rebuilds the O(n²) structure the memmap backend exists
-#: to avoid — above this line (or on memmapped graphs of any size) the
-#: method refuses and the B409 lint rule says to set
-#: ``bitmap_threshold=None`` instead.
-ADJACENCY_BITMAP_MAX_VERTICES = 1 << 18
 
 #: batches of at most this many rows are gathered one CSR slice per row:
 #: the engine's frame steps gather a few rows of a few elements, where
@@ -45,6 +29,9 @@ ADJACENCY_BITMAP_MAX_VERTICES = 1 << 18
 #: ~0.4 µs a row, so past ~12 rows one fancy-index gather is cheaper
 #: (docs/PERFORMANCE.md, "Per-call cost", has the sweep)
 SLICE_GATHER_ROWS = 12
+
+#: rows per chunk of :meth:`CSRGraph.self_loop_mask`'s scan
+_SCAN_ROWS = 1 << 16
 
 
 def gather_rows(indptr: np.ndarray, indices: np.ndarray,
@@ -309,48 +296,23 @@ class CSRGraph:
         when undirected)."""
         return self.reversed_view().neighbors_batch(vs)
 
-    def adjacency_bitmap(self, threshold: int) -> dict[int, np.ndarray]:
-        """Dense boolean adjacency rows for vertices of degree ≥ ``threshold``.
-
-        ``result[v][u]`` is True iff ``(v, u)`` is an arc.  Rows exist
-        only for high-degree vertices — the hub operands whose binary
-        searches dominate set operations — so the index costs
-        ``O(num_hubs × n)`` bytes.  Cached per threshold; rows are
-        read-only.  This is a host-side lookup structure (GSI-style
-        encoding table): engines that use it must charge the unchanged
-        binary-search cost model.
-        """
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        n = self.num_vertices
-        if n > ADJACENCY_BITMAP_MAX_VERTICES:
-            raise ValueError(
-                f"adjacency_bitmap refused: {self.name!r} has {n} vertices "
-                f"(> {ADJACENCY_BITMAP_MAX_VERTICES}); each hub row densifies "
-                "to n bytes, which defeats out-of-core execution — set "
-                "bitmap_threshold=None for graphs this large (lint rule B409)"
-            )
-        if isinstance(self.indices, np.memmap) or isinstance(self.indptr, np.memmap):
-            raise ValueError(
-                f"adjacency_bitmap refused: {self.name!r} is memory-mapped; "
-                "densifying hub rows would fault in and pin the pages the "
-                "memmap backend keeps cold — set bitmap_threshold=None "
-                "(lint rule B409)"
-            )
-        cache = getattr(self, "_bitmap_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_bitmap_cache", cache)
-        rows = cache.get(threshold)
-        if rows is None:
-            rows = {}
-            deg = self.degree()
-            for v in np.nonzero(deg >= threshold)[0]:
-                row = np.zeros(self.num_vertices, dtype=bool)
-                row[self.neighbors(int(v))] = True
-                rows[int(v)] = row
-            cache[threshold] = rows
-        return rows
+    def self_loop_mask(self) -> np.ndarray:
+        """Boolean mask of the vertices listed in their own neighbor
+        list, cached; read-only.  Scans the CSR arrays a chunk of rows
+        at a time, not the row API, so views that count row reads (a
+        partition shard's ``fallback_rows``) see none."""
+        mask = getattr(self, "_self_loop_cache", None)
+        if mask is None:
+            n = self.num_vertices
+            mask = np.zeros(n, dtype=bool)
+            for lo in range(0, n, _SCAN_ROWS):
+                hi = min(lo + _SCAN_ROWS, n)
+                ptr = self.indptr[lo:hi + 1]
+                rows = np.arange(lo, hi, dtype=np.int64).repeat(np.diff(ptr))
+                mask[rows[self.indices[ptr[0]:ptr[-1]] == rows]] = True
+            object.__setattr__(self, "_self_loop_cache", mask)
+        out: np.ndarray = mask
+        return out
 
     def reversed_view(self) -> "CSRGraph":
         """CSR over the reversed arcs (in-neighbors), cached.

@@ -146,9 +146,14 @@ class PartitionedGraph(CSRGraph):
             cache = {}
             object.__setattr__(base, "_partition_cache", cache)
         got = cache.get((lo, hi))
-        if got is not None:
-            return got  # type: ignore[no-any-return]
+        if got is None:
+            got = cache[(lo, hi)] = cls._view(base, lo, hi, [0])
+        return got  # type: ignore[no-any-return]
 
+    @classmethod
+    def _view(cls, base: CSRGraph, lo: int, hi: int, fallback: list[int]) -> "PartitionedGraph":
+        """Build the replica of ``[lo, hi)`` over ``base``; escaped reads
+        add to ``fallback[0]``, which views of one shard share."""
         g = object.__new__(cls)
         object.__setattr__(g, "indptr", base.indptr)
         object.__setattr__(g, "indices", base.indices)
@@ -179,8 +184,7 @@ class PartitionedGraph(CSRGraph):
         object.__setattr__(g, "_local_row", local_row)
         object.__setattr__(g, "_local_indptr", offs)
         object.__setattr__(g, "_local_indices", np.ascontiguousarray(vals))
-        object.__setattr__(g, "_fallback_rows", 0)
-        cache[(lo, hi)] = g
+        object.__setattr__(g, "_fallback", fallback)
         return g
 
     # -- shard metadata -------------------------------------------------
@@ -201,7 +205,7 @@ class PartitionedGraph(CSRGraph):
         On a real cluster these are remote fetches; under the memmap
         backend they are page faults into the on-disk store.
         """
-        return self._fallback_rows  # type: ignore[attr-defined,no-any-return]
+        return self._fallback[0]  # type: ignore[attr-defined,no-any-return]
 
     @property
     def local_num_vertices(self) -> int:
@@ -235,7 +239,7 @@ class PartitionedGraph(CSRGraph):
         if r >= 0:
             ptr = self._local_indptr  # type: ignore[attr-defined]
             return self._local_indices[ptr[r] : ptr[r + 1]]  # type: ignore[attr-defined,no-any-return]
-        object.__setattr__(self, "_fallback_rows", self.fallback_rows + 1)
+        self._fallback[0] += 1  # type: ignore[attr-defined]
         return super().neighbors(v)
 
     def neighbors_batch(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +247,27 @@ class PartitionedGraph(CSRGraph):
         escaped = int(np.count_nonzero(rows < 0))
         if not escaped:
             return gather_rows(self._local_indptr, self._local_indices, rows)  # type: ignore[attr-defined]
-        object.__setattr__(self, "_fallback_rows", self.fallback_rows + escaped)
+        self._fallback[0] += escaped  # type: ignore[attr-defined]
         return super().neighbors_batch(vs)
+
+    def reversed_view(self) -> CSRGraph:
+        """The same owned range replicated over the base's in-rows
+        (cached; undirected: ``self``).  An in-row read that escapes
+        that replica counts in this shard's ``fallback_rows``."""
+        if not self.directed:
+            return self
+        cached: CSRGraph | None = getattr(self, "_reversed_cache", None)
+        if cached is None:
+            lo, hi = self.owned_range
+            fallback = self._fallback  # type: ignore[attr-defined]
+            cached = PartitionedGraph._view(self.base.reversed_view(), lo, hi, fallback)
+            object.__setattr__(self, "_reversed_cache", cached)
+        return cached
+
+    def self_loop_mask(self) -> np.ndarray:
+        """The base's (read from its arrays, so no row counts as a
+        fallback read)."""
+        return self.base.self_loop_mask()
 
     # -- transformations: stay a shard --------------------------------------
 

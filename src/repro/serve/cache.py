@@ -43,7 +43,6 @@ def _config_key(config: "EngineConfig") -> tuple[Any, ...]:
     """
     return (
         config.max_results,
-        config.degree_filter,
         config.max_degree,
     )
 

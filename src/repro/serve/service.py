@@ -328,8 +328,8 @@ class MatchService:
                     wall_s=time.monotonic() - t0)
             entries = self._cache.entries(name, old_version)
             # one delta per distinct query covers every config variant:
-            # degree_filter/max_degree are identity-preserving and a
-            # max_results cap only matters if the new count would hit it
+            # max_degree is identity-preserving and a max_results cap
+            # only matters if the new count would hit it
             deltas: dict[Any, Any] = {}
             mutated: "OverlayGraph | None" = None
             anchor_runs = 0

@@ -363,8 +363,8 @@ class ReferenceCandidateComputer(CandidateComputer):
     set operations (Fig. 8, :func:`~repro.virtgpu.setops.combined_set_op`)
     and filters its candidates in sequential compactions.
 
-    Apart from the constructor's tables (label LUTs, degrees, slot
-    capacity) it shares nothing with the production walk — no lowered
+    Apart from the constructor's tables (label LUTs, slot capacity) it
+    shares nothing with the production walk — no lowered
     program, no ``LevelOps`` — yet must issue the same cycle charges in
     the same order, so engine runs through it reproduce
     matches, cycles and steal counts byte for byte.  With
@@ -380,10 +380,6 @@ class ReferenceCandidateComputer(CandidateComputer):
         # level's own label
         self._level_label: list[int | None] = (
             [int(x) for x in q.labels] if q.labels is not None else [None] * plan.size)
-        self._degree_need = [
-            int(q.adj[lv].sum() + (q.adj[:, lv].sum() if q.directed else 0))
-            for lv in range(plan.size)
-        ] if config.degree_filter else None
 
     def compute_frame(self, warp, stack, level, slot_vertices, count_only=False):
         slot_vertices = np.asarray(slot_vertices, dtype=np.int32)
@@ -394,7 +390,7 @@ class ReferenceCandidateComputer(CandidateComputer):
             return np.asarray([c.size for c in frame.cand], dtype=np.int64)
         return frame
 
-    def _frame(self, warp: Warp | None, stack: WarpStack, level: int,
+    def _frame(self, warp: Warp, stack: WarpStack, level: int,
                slot_vertices: np.ndarray) -> Frame:
         nslots = int(slot_vertices.size)
         m_prefix = stack.match_up_to(level - 1)  # positions 0..level-2
@@ -421,8 +417,7 @@ class ReferenceCandidateComputer(CandidateComputer):
             if not r.ops:
                 # explicit neighbor-list copy into C (e.g. C1 = N(v0))
                 current = [self._apply_label_filter(b.copy(), r.label_filter) for b in bases]
-                if warp is not None:
-                    warp.charge_copy(sum(b.size for b in bases))
+                warp.charge_copy(sum(b.size for b in bases))
             else:
                 current = bases
                 for op in r.ops:
@@ -430,10 +425,10 @@ class ReferenceCandidateComputer(CandidateComputer):
                     diff = [op.kind is OpKind.DIFFERENCE] * nslots
                     current = combined_set_op(warp, current, operands, diff)
                 current = [self._apply_label_filter(c, r.label_filter) for c in current]
-            if warp is not None:  # host-memory penalty past the slot capacity
-                over = sum(max(0, c.size - self.slot_capacity) for c in current)
-                if over:
-                    warp.charge(warp.cost.host_access * warp.cost.rounds(over))
+            # host-memory penalty past the slot capacity
+            over = sum(max(0, c.size - self.slot_capacity) for c in current)
+            if over:
+                warp.charge(warp.cost.host_access * warp.cost.rounds(over))
             frame_sets[sid] = current
 
         sid_c = self.program.candidate_of_level[level]
@@ -443,21 +438,17 @@ class ReferenceCandidateComputer(CandidateComputer):
             raw = set_data(sid_c, u)
             cand.append(self._filter(raw, level, m_prefix, int(slot_vertices[u])))
             total_filtered += raw.size
-        if warp is not None and total_filtered:
+        if total_filtered:
             warp.charge_filter(total_filtered)
         return Frame(level=level, slot_vertices=slot_vertices, cand=cand, sets=frame_sets)
 
     def _filter(self, raw: np.ndarray, level: int, m_prefix: list[int],
                 slot_vertex: int) -> np.ndarray:
-        """The level's label, degree need, symmetry floor and injectivity."""
+        """The level's label, symmetry floor and injectivity."""
         arr = raw
         lab = self._level_label[level]
         if lab is not None and arr.size:
             arr = arr[self.graph.labels[arr] == lab]
-        if self._degree_need is not None and arr.size:
-            need = self._degree_need[level]
-            if need > 1:
-                arr = arr[self._graph_degree[arr] >= need]
         # symmetry breaking: a candidate must exceed every restricted
         # earlier match; candidate arrays are sorted, so slice
         floor = -1

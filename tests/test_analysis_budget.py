@@ -146,25 +146,3 @@ def test_split_label_program_costs_more_shared_memory():
     rep = lint_budget(split, tight)
     (d,) = rep.by_rule("B401")
     assert "Fig. 10b" in (d.hint or "")
-
-
-def test_bitmap_hint_b406(c3_plan):
-    """A hub at/above the bitmap threshold without a configured index
-    draws the B406 perf warning; configuring the index silences it."""
-    from repro.graph.csr import DEFAULT_BITMAP_THRESHOLD, CSRGraph
-
-    hub_deg = DEFAULT_BITMAP_THRESHOLD
-    star = CSRGraph.from_edges(
-        hub_deg + 1, [(0, v) for v in range(1, hub_deg + 1)]
-    )
-    rep = lint_budget(c3_plan, EngineConfig(), star)
-    (d,) = rep.by_rule("B406")
-    assert d.severity.name == "WARNING"
-    assert str(hub_deg) in d.message
-    assert "bitmap_threshold" in (d.hint or "")
-    # configured index -> no warning
-    cfg = EngineConfig(bitmap_threshold=DEFAULT_BITMAP_THRESHOLD)
-    assert not lint_budget(c3_plan, cfg, star).by_rule("B406")
-    # low-degree graph -> no warning
-    small = powerlaw_cluster(60, m=3, seed=1)
-    assert not lint_budget(c3_plan, EngineConfig(), small).by_rule("B406")

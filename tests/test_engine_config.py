@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import EngineConfig
 from repro.virtgpu.device import DeviceConfig
 
@@ -45,6 +50,22 @@ def test_detect_level_above_stop_level_rejected():
 def test_invalid_engine_config_rejected(kw, match):
     with pytest.raises(ValueError, match=match):
         EngineConfig(**kw)
+
+
+def test_knob_census():
+    """Every engine knob and every environment override the package
+    reads, by name: a change that adds or drops one shows it here."""
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "unroll", "stop_level", "detect_level", "max_degree", "chunk_size",
+        "local_steal", "global_steal", "code_motion", "device", "max_results",
+        "sanitize", "checkpoint_interval", "observe", "executor", "num_workers",
+        "worker_timeout_s", "codegen", "graph_backend", "partition_mode",
+    ]
+    env: set[str] = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        env.update(re.findall(r"\bREPRO_[A-Z_]+\b", path.read_text(encoding="utf-8")))
+    assert env == {"REPRO_CODEGEN", "REPRO_EXECUTOR", "REPRO_GRAPH_BACKEND",
+                   "REPRO_NUM_WORKERS"}
 
 
 def test_with_revalidates():

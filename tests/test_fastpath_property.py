@@ -83,33 +83,12 @@ class TestFastpathPinsReference:
         fast = STMatchEngine(g).run(q, vertex_induced=True)
         _assert_identical(ref, fast)
 
-    def test_degree_filter_extension(self):
-        g = _random_graph(24, 0.3, seed=9)
-        ref, fast = _run_pair(g, QUERIES["q3"], degree_filter=True)
-        _assert_identical(ref, fast)
-
     def test_budget_truncation_point_identical(self):
         """Identical schedules truncate at the same match under a budget."""
         g = _random_graph(24, 0.4, seed=2)
         ref, fast = _run_pair(g, QUERIES["q1"], max_results=500)
         _assert_identical(ref, fast)
         assert ref.matches >= 500  # the budget actually fired
-
-    def test_bitmap_index_changes_nothing(self, monkeypatch):
-        """The adjacency bitmap is a host-side lookup: cycles unchanged.
-
-        It exists on in-memory graphs only, so the backend is pinned to
-        memory here; a memory-mapped graph must refuse it (rule B409)."""
-        monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
-        g = _random_graph(30, 0.5, seed=13)
-        base = STMatchEngine(g).run(QUERIES["q2"])
-        bm = STMatchEngine(g, EngineConfig(bitmap_threshold=1)).run(QUERIES["q2"])
-        assert base.matches == bm.matches
-        assert base.cycles == bm.cycles
-        memmap = STMatchEngine(g, EngineConfig(bitmap_threshold=1, graph_backend="memmap"))
-        with pytest.raises(ValueError, match="B409"):
-            memmap.run(QUERIES["q2"])
-
 
 class TestOnMatchEmission:
     def test_emitted_tuples_identical(self):

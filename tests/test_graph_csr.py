@@ -201,19 +201,10 @@ class TestBatchedAccessors:
         assert g.degree(0) == 3
         assert g.degree(np.array([0, 4])).tolist() == [3, 1]
 
-    def test_adjacency_bitmap_rows(self):
-        g = self._graph()
-        rows = g.adjacency_bitmap(3)  # only vertices 0 and 2 have deg >= 3
-        assert sorted(rows) == [0, 2]
-        assert rows[0].tolist() == [False, True, True, True, False, False]
-        assert rows[2].tolist() == [True, True, False, True, False, False]
-
-    def test_adjacency_bitmap_cached_per_threshold(self):
-        g = self._graph()
-        assert g.adjacency_bitmap(3) is g.adjacency_bitmap(3)
-        assert g.adjacency_bitmap(1) is not g.adjacency_bitmap(3)
-        assert len(g.adjacency_bitmap(100)) == 0
-
-    def test_adjacency_bitmap_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            self._graph().adjacency_bitmap(0)
+    def test_self_loop_mask(self):
+        # row 1 lists itself; from_edges would drop the loop
+        g = CSRGraph(indptr=np.array([0, 1, 3, 4]), indices=np.array([1, 0, 1, 0]))
+        mask = g.self_loop_mask()
+        assert mask.tolist() == [False, True, False]
+        assert g.self_loop_mask() is mask  # cached
+        assert not self._graph().self_loop_mask().any()

@@ -5,8 +5,7 @@ What used to exist only as emitted string literals is now
 charges), so it gets ordinary unit tests:
 
 * ``lower()`` is deterministic and schedules every set id exactly once
-  over q1–q24 × {unlabeled, labeled} × {edge, vertex-induced} ×
-  ``degree_filter``;
+  over q1–q24 × {unlabeled, labeled} × {edge, vertex-induced};
 * every count-only leaf equals the generic fused-filter path — per-slot
   counts *and* the recorded charge / tracer stream — on randomly built
   stacks, on simple, self-loop, directed, overlay (both directions) and
@@ -75,16 +74,14 @@ class TestLowering:
             q = _labeled(QUERIES[qname]) if labeled else QUERIES[qname]
             for induced in (False, True):
                 plan = build_plan(q, vertex_induced=induced)
-                again = build_plan(q, vertex_induced=induced)
-                for degree_filter in (False, True):
-                    levels = lower(plan, degree_filter, False)
-                    assert levels == lower(again, degree_filter, False)
-                    assert [lp.level for lp in levels] == list(range(1, plan.size))
-                    scheduled = list(plan.program.sets_at_level[0])
-                    for lp in levels:
-                        self._check_level(plan, lp)
-                        scheduled += [st.sid for st in lp.steps]
-                    assert sorted(scheduled) == list(range(plan.program.num_sets))
+                levels = lower(plan)
+                assert levels == lower(build_plan(q, vertex_induced=induced))
+                assert [lp.level for lp in levels] == list(range(1, plan.size))
+                scheduled = list(plan.program.sets_at_level[0])
+                for lp in levels:
+                    self._check_level(plan, lp)
+                    scheduled += [st.sid for st in lp.steps]
+                assert sorted(scheduled) == list(range(plan.program.num_sets))
 
     @staticmethod
     def _check_level(plan, lp):
@@ -116,14 +113,8 @@ class TestLowering:
         else:
             assert not lp.frame_wide
 
-    def test_bitmap_flag_reaches_every_op(self):
-        plan = build_plan(QUERIES["q6"])
-        for on in (False, True):
-            ops = [op for lp in lower(plan, False, on) for st in lp.steps for op in st.ops]
-            assert ops and all(op.bitmap is on for op in ops)
-
     def test_every_leaf_kind_is_produced(self):
-        kinds = {lower(build_plan(QUERIES[q]), False, False)[-1].leaf for q in ALL_QUERIES}
+        kinds = {lower(build_plan(QUERIES[q]))[-1].leaf for q in ALL_QUERIES}
         assert kinds == set(Leaf)
 
 
@@ -203,12 +194,9 @@ def _fake_stack(prefix) -> WarpStack:
     return WarpStack(frames=frames)
 
 
-def _ops(graph, need) -> LevelOps:
-    deg = graph.degree()
-    if graph.directed:
-        deg = deg + graph.reversed_view().degree()
+def _ops(graph) -> LevelOps:
     cap = max(int(graph.max_degree()) // 2, 1)  # small enough to spill
-    return LevelOps(graph, cap, {}, deg if need else None, None, None)
+    return LevelOps(graph, cap, {})
 
 
 def _cases(rng, graph, rounds=6):
@@ -231,7 +219,7 @@ def _cases(rng, graph, rounds=6):
         yield stack, prefix, slots, shared
 
 
-TALLY_CONSTS = ((), False, None, 0)
+TALLY_CONSTS = ((), False, None)  # floor positions, uses_slot, label
 
 
 def _leaf(kind, ops, warp, stack, win, prefix, shared, inbound, consts=TALLY_CONSTS):
@@ -254,12 +242,12 @@ def _generic(kind, ops, warp, slots, prefix, shared, inbound, consts=TALLY_CONST
     if kind == "gather_free":
         g = ops.gather_slots(slots, inbound, False)
         cand = ops.seal(warp, g.vals, g.segs, None, n, True)
-        return ops.finish(warp, 4, slots, prefix, cand, (), False, None, 0, True, {})
+        return ops.finish(warp, 4, slots, prefix, cand, (), False, None, True, {})
     if kind == "flipped":
         g = ops.gather_slots(slots, inbound, True)
         vals, segs = ops.set_op(warp, *ops.tile(shared, n), g, False)
         cand = ops.seal(warp, vals, segs, None, n)
-        return ops.finish(warp, 4, slots, prefix, cand, (), False, None, 0, True, {})
+        return ops.finish(warp, 4, slots, prefix, cand, (), False, None, True, {})
     return ops.finish(warp, 4, slots, prefix, ops.tile(shared, n), *consts, True, {})
 
 
@@ -280,7 +268,7 @@ class TestLeavesEqualGenericPath:
         rng = np.random.default_rng(seed)
         graph = GRAPHS[gname](rng)
         for inbound in ((False, True) if graph.directed else (False,)):
-            ops = _ops(graph, need=False)
+            ops = _ops(graph)
             for stack, prefix, slots, ref in _cases(rng, graph):
                 _assert_leaf_is_generic(kind, ops, stack, (slots, 0, slots.size), prefix, ref,
                                         inbound)
@@ -293,9 +281,9 @@ class TestLeavesEqualGenericPath:
 
     @pytest.mark.parametrize("uses_slot", [False, True])
     @pytest.mark.parametrize("floor_positions", [(), (1,), (0, 2)])
-    @pytest.mark.parametrize("label,need", [(None, 0), (1, 0), (None, 3), (2, 2)])
-    def test_tally(self, gname, uses_slot, floor_positions, label, need):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("label,seed", [(None, 0), (1, 0), (None, 3), (2, 2)])
+    def test_tally(self, gname, uses_slot, floor_positions, label, seed):
+        rng = np.random.default_rng(seed)
         graph = GRAPHS[gname](rng)
         if label is not None:
             if isinstance(graph, OverlayGraph):
@@ -303,8 +291,8 @@ class TestLeavesEqualGenericPath:
             graph = assign_random_labels(graph, num_labels=3, seed=5)
             # a labelled shard is still a shard
             assert isinstance(graph, PartitionedGraph) == (gname == "partition-shard")
-        ops = _ops(graph, need=need > 1)
-        consts = (floor_positions, uses_slot, label, need)
+        ops = _ops(graph)
+        consts = (floor_positions, uses_slot, label)
         for stack, prefix, slots, ca in _cases(rng, graph):
             _assert_leaf_is_generic("tally", ops, stack, (slots, 0, slots.size), prefix, ca,
                                     False, consts)
@@ -326,11 +314,30 @@ def test_flipped_self_loop_candidate_in_ref(gname, inbound):
     others = np.setdiff1d(np.arange(n), prefix + loops)
     ref = np.sort(np.concatenate([loops, prefix[:1], others[::2]])).astype(np.int32)
     slots = np.sort(np.concatenate([loops, others[:5]])).astype(np.int32)
-    ops = _ops(graph, need=False)
+    ops = _ops(graph)
     stack = _fake_stack(prefix)
     for lo in range(0, slots.size, UNROLL):  # one plan, replayed per batch
         _assert_leaf_is_generic("flipped", ops, stack, (slots, lo, min(lo + UNROLL, slots.size)),
                                 prefix, ref, inbound)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_self_loop_masks_read_no_shard_row(directed):
+    """The leaves' self-loop masks come from the graph's arrays, so on
+    a shard they cost no fallback read: a scan is over all n rows, most
+    of them outside the replica."""
+    rng = np.random.default_rng(12)
+    graph = _random_graph(rng, self_loops=True, directed=directed)
+    shard = PartitionedGraph.replicate(graph, 0, 2)
+    ops = CandidateComputer(shard, build_plan(QUERIES["q5"]), EngineConfig()).ops
+    before = shard.fallback_rows
+    loops = ops.self_loops(False)
+    in_loops = ops.self_loops(True)
+    assert shard.fallback_rows == before
+    n = graph.num_vertices
+    assert loops.tolist() == [graph.has_edge(v, v) for v in range(n)]
+    # a reversed view drops self-loops (CSRGraph.reversed_view)
+    assert (in_loops is None) == directed
 
 
 def test_flipped_plans_read_only_the_shared_set_and_used_rows(monkeypatch):
@@ -343,7 +350,6 @@ def test_flipped_plans_read_only_the_shared_set_and_used_rows(monkeypatch):
     plan, cfg = build_plan(QUERIES["q5"]), EngineConfig()
     computer = CandidateComputer(graph, plan, cfg)
     assert computer.levels[-1].leaf is Leaf.FLIPPED
-    computer.ops.self_loops(False)  # the once-per-graph scan reads every row
     calls = []  # (stack, ref, prefix, rows read): also keeps the ids alive
     inside = []  # the rows list of the leaf_flipped call in progress
     flipped, batch, row = LevelOps.leaf_flipped, CSRGraph.neighbors_batch, CSRGraph.neighbors
@@ -389,7 +395,7 @@ def test_flipped_plans_read_only_the_shared_set_and_used_rows(monkeypatch):
 
 UNROLL = 4
 WINDOWED = [("gather_free", TALLY_CONSTS), ("flipped", TALLY_CONSTS), ("tally", TALLY_CONSTS),
-            ("tally", ((1,), True, None, 0)), ("tally", ((0, 2), False, None, 3))]
+            ("tally", ((1,), True, None)), ("tally", ((0, 2), False, None))]
 
 
 def _parent_stack(rng, graph, size=21):
@@ -443,7 +449,7 @@ def test_windows_replay_the_generic_path_across(event, kind, consts, gname):
     rng = np.random.default_rng(6)
     graph = GRAPHS[gname](rng)
     for inbound in ((False, True) if graph.directed and kind != "tally" else (False,)):
-        ops = _ops(graph, need=consts[3] > 1)
+        ops = _ops(graph)
         stack, prefix, moved, shared = _parent_stack(rng, graph)
         live = [stack]
         for step in range(2):  # a warm plan, then the event, then the rest
@@ -474,14 +480,14 @@ def test_random_window_sequences_equal_uncached_evaluation(seed, kind, data):
     parent = stack.top.active_cand()
     cuts = data.draw(st.lists(st.tuples(st.integers(0, parent.size - 1), st.integers(1, 9)),
                               min_size=1, max_size=8))
-    ops = _ops(graph, need=consts[3] > 1)
+    ops = _ops(graph)
     a, b = _warp(), _warp()
     got, want = [], []
     for lo, width in cuts:
         win = (parent, lo, min(lo + width, parent.size))
         got += _leaf(kind, ops, a, stack, win, prefix, shared, inbound, consts).tolist()
-        want += _generic(kind, _ops(graph, need=consts[3] > 1), b, parent[lo: win[2]], prefix,
-                         shared, inbound, consts).tolist()
+        want += _generic(kind, _ops(graph), b, parent[lo: win[2]], prefix, shared, inbound,
+                         consts).tolist()
     assert got == want
     assert _stream(a) == _stream(b)
 
@@ -508,7 +514,7 @@ def _descend(comp, rng, unroll):
         top.iter = lo + batch.size
         if level == comp.plan.size - 1:
             return stack, batch, (top.cand[top.uiter], lo, top.iter)
-        stack.push(comp.compute_frame(None, stack, level, batch))
+        stack.push(comp.compute_frame(Warp(warp_id=0, block_id=0), stack, level, batch))
     return None
 
 
@@ -535,7 +541,7 @@ def test_walk_leaf_equals_frame_path_and_reference(gname):
                 continue
             stack, batch, win = drawn
             a, b, c, w = _warp(), _warp(), _warp(), _warp()
-            counts = fast.compute_frame(a, stack, last, batch, count_only=True)
+            counts = fast.compute_frame(a, stack, last, batch, count_only=(batch, 0, batch.size))
             windowed = fast.compute_frame(w, stack, last, batch, count_only=win)
             frame = fast.compute_frame(b, stack, last, batch)
             oracle = ref.compute_frame(c, stack, last, batch)
@@ -769,9 +775,9 @@ def test_frame_plan_covers_every_slot_and_standalone_windows_plan_alone():
     """Windows of the top frame's slots, cut as the kernel cuts them,
     enter the walk once — the first plans the frame's remaining slots,
     the rest replay.  The same batches as standalone windows (a copy of
-    the slot array, or ``count_only=True``) plan one part each; counts
-    and charge streams are equal either way, and equal the frame
-    path's."""
+    the slot array, or the batch as a window of itself) plan one part
+    each; counts and charge streams are equal either way, and equal the
+    frame path's."""
     rng = np.random.default_rng(11)
     graph = GRAPHS["self-loops"](rng)
     for qname in ("q3", "q5", "q7"):  # tally, flipped, gather-free: all frame-wide
@@ -807,7 +813,9 @@ def test_frame_plan_covers_every_slot_and_standalone_windows_plan_alone():
                 cand = top.cand[u]
                 alone += comp.compute_frame(b, stack, last, cand[lo:hi],
                                             count_only=(cand.copy(), lo, hi)).tolist()
-                batch += comp.compute_frame(c, stack, last, cand[lo:hi], count_only=True).tolist()
+                own = cand[lo:hi]
+                batch += comp.compute_frame(c, stack, last, own,
+                                            count_only=(own, 0, own.size)).tolist()
                 full += [x.size for x in comp.compute_frame(d, stack, last, cand[lo:hi]).cand]
             assert framed == alone == batch == full
             assert _stream(a) == _stream(b) == _stream(c) == _stream(d)

@@ -146,6 +146,22 @@ class TestPartitionedGraph:
         assert isinstance(plain, PartitionedGraph) and plain.labels is None
         assert plain.owned_range == (0, 3)
 
+    def test_directed_in_reads_go_through_the_replica(self):
+        ring = [(i, (i + 1) % 6) for i in range(6)]
+        shard = PartitionedGraph.replicate(CSRGraph.from_edges(6, ring, directed=True), 0, 2)
+        rev = shard.reversed_view()
+        assert isinstance(rev, PartitionedGraph) and rev.owned_range == (0, 2)
+        assert shard.reversed_view() is rev
+        assert rev.neighbors(1).tolist() == [0]  # an owned vertex's in-row: resident
+        assert shard.fallback_rows == 0
+        assert shard.in_neighbors(4).tolist() == [3]  # outside the replica
+        assert shard.fallback_rows == 1
+        vals, _ = shard.in_neighbors_batch(np.array([0, 3, 4]))
+        assert vals.tolist() == [5, 2, 3]
+        assert shard.fallback_rows == rev.fallback_rows == 3
+        undirected = PartitionedGraph.replicate(CSRGraph.from_edges(6, ring), 0, 2)
+        assert undirected.reversed_view() is undirected
+
     def test_no_nested_partitioning(self, graphs):
         shard = PartitionedGraph.replicate(graphs["dense"], 0, 10)
         with pytest.raises(TypeError):

@@ -1,7 +1,6 @@
 """Tests for plan compilation details and the engine's fixed memory
 footprint accounting (Sec. VIII-A)."""
 
-import numpy as np
 import pytest
 
 from repro import EngineConfig, STMatchEngine, get_query
@@ -127,43 +126,6 @@ class TestFixedMemoryFootprint:
         slow = STMatchEngine(g, EngineConfig(max_degree=4)).run(q)
         assert slow.matches == fast.matches
         assert slow.cycles > fast.cycles
-
-
-class TestDegreeFilter:
-    """The optional degree-pruning extension must never change counts."""
-
-    @pytest.mark.parametrize("name", ["q1", "q5", "q7", "q8", "q13"])
-    @pytest.mark.parametrize("vi", [False, True])
-    def test_counts_invariant(self, name, vi):
-        g = powerlaw_cluster(90, m=3, p_triangle=0.5, seed=6)
-        q = get_query(name)
-        base = STMatchEngine(g, EngineConfig()).run(q, vertex_induced=vi)
-        filt = STMatchEngine(g, EngineConfig(degree_filter=True)).run(q, vertex_induced=vi)
-        assert filt.matches == base.matches
-
-    def test_prunes_work_on_dense_queries(self):
-        # a clique query on a skewed graph: low-degree candidates are
-        # pruned before their subtrees are explored
-        g = powerlaw_cluster(150, m=4, p_triangle=0.6, seed=9)
-        q = get_query("q16")
-        base = STMatchEngine(g, EngineConfig()).run(q)
-        filt = STMatchEngine(g, EngineConfig(degree_filter=True)).run(q)
-        assert filt.matches == base.matches
-        assert filt.counters.tree_nodes <= base.counters.tree_nodes
-
-    def test_labeled_counts_invariant(self):
-        import numpy as np
-
-        from repro.graph import assign_random_labels
-        from repro.graph.labels import relabel_query_consistently
-
-        g = assign_random_labels(powerlaw_cluster(80, m=3, seed=2), num_labels=3, seed=1)
-        q = get_query("q5").with_labels(
-            relabel_query_consistently(np.array([0, 1, 2, 0, 1]), g, seed=5)
-        )
-        base = STMatchEngine(g, EngineConfig()).run(q)
-        filt = STMatchEngine(g, EngineConfig(degree_filter=True)).run(q)
-        assert filt.matches == base.matches
 
 
 class TestMultiGpu:

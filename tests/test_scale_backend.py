@@ -7,8 +7,8 @@ the full golden matrix.  The second is that the chunked ingest path —
 which never materializes the whole edge list — builds arrays byte-
 identical to :meth:`CSRGraph.from_edges`.  Both identities are pinned
 here, along with the on-disk store round-trip, backend resolution
-precedence, shard residency over a mapped store, the adjacency-bitmap
-guards (and their B409 lint), and the streaming SNAP loader.
+precedence, shard residency over a mapped store, and the streaming
+SNAP loader.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.budget import lint_budget
 from repro.core.config import EngineConfig
 from repro.core.engine import STMatchEngine
-from repro.graph.csr import ADJACENCY_BITMAP_MAX_VERTICES, CSRGraph
+from repro.graph.csr import CSRGraph
 from repro.graph.io import iter_edge_chunks, load_snap_edgelist
 from repro.pattern import QUERIES, build_plan, get_query
 from repro.scale import (
@@ -252,47 +251,6 @@ class TestStreamingLoader:
         assert got.num_vertices == 4  # n inferred from max vertex id
         assert np.array_equal(got.indices, eager.indices)
         assert is_memmap_backed(got)
-
-
-class TestBitmapGuards:
-    def test_memmap_graph_refuses_bitmap(self, graphs):
-        mm = with_backend(graphs["dense"], "memmap")
-        with pytest.raises(ValueError, match="B409"):
-            mm.adjacency_bitmap(2)
-
-    def test_huge_graph_refuses_bitmap(self):
-        n = ADJACENCY_BITMAP_MAX_VERTICES + 1
-        g = CSRGraph.from_edges(n, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="B409"):
-            g.adjacency_bitmap(2)
-
-    def test_small_heap_graph_still_allows(self, graphs):
-        g = graphs["dense"]
-        rows = g.adjacency_bitmap(2)
-        assert rows and all(r.size == g.num_vertices for r in rows.values())
-
-    def test_b409_lint_fires(self, graphs):
-        mm = with_backend(graphs["dense"], "memmap")
-        plan = build_plan(get_query("q1"))
-        cfg = EngineConfig(bitmap_threshold=2)
-        rules = [d.rule for d in lint_budget(plan, cfg, mm)]
-        assert "B409" in rules
-
-    def test_b406_gated_off_for_memmap(self, graphs):
-        mm = with_backend(graphs["dense"], "memmap")
-        plan = build_plan(get_query("q1"))
-        rules = [d.rule for d in lint_budget(plan, EngineConfig(), mm)]
-        assert "B406" not in rules
-        # but the heap original may still earn the suggestion
-        heap_rules = [d.rule for d in
-                      lint_budget(plan, EngineConfig(), graphs["dense"])]
-        assert "B409" not in heap_rules
-
-    def test_b409_absent_when_bitmap_viable(self, graphs):
-        plan = build_plan(get_query("q1"))
-        cfg = EngineConfig(bitmap_threshold=2)
-        rules = [d.rule for d in lint_budget(plan, cfg, graphs["dense"])]
-        assert "B409" not in rules
 
 
 class TestShardResidency:

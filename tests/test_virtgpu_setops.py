@@ -157,7 +157,7 @@ def _ops_over(rows, n=61):
     indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     indices = np.concatenate([np.asarray(r, dtype=np.int32) for r in rows]
                              + [np.empty(0, dtype=np.int32)])
-    return LevelOps(CSRGraph(indptr=indptr, indices=indices), 1 << 20, {}, None, None, None)
+    return LevelOps(CSRGraph(indptr=indptr, indices=indices), 1 << 20, {})
 
 
 class TestMembershipBatch:
@@ -177,14 +177,14 @@ class TestMembershipBatch:
         ops = _ops_over([[1], [2]], n=10)
         vals, segs = _segmented([np.array([1, 2]), np.array([1, 2])])
         opnd = ops.gather_slots(np.array([0, 1]), inbound=False, keyed=True)
-        got_v, got_s = ops.set_op(None, vals, segs, opnd, difference=False)
+        got_v, got_s = ops.set_op(Warp(warp_id=0, block_id=0), vals, segs, opnd, difference=False)
         assert got_v.tolist() == [1, 2] and got_s.tolist() == [0, 1]
 
     def test_segmented_empty_segment_never_matches(self):
         ops = _ops_over([[5], []], n=10)
         vals, segs = _segmented([np.array([5]), np.array([5])])
         opnd = ops.gather_slots(np.array([0, 1]), inbound=False, keyed=True)
-        got_v, got_s = ops.set_op(None, vals, segs, opnd, difference=False)
+        got_v, got_s = ops.set_op(Warp(warp_id=0, block_id=0), vals, segs, opnd, difference=False)
         assert got_v.tolist() == [5] and got_s.tolist() == [0]
 
 
@@ -226,23 +226,3 @@ class TestCombinedSetOpBatch:
         assert got_v.tolist() == exp_v.tolist()
         assert got_s.tolist() == exp_s.tolist()
         assert w_b.clock == w_s.clock
-
-    def test_injected_found_mask_controls_result_not_charge(self):
-        """A precomputed mask (the bitmap index) must not change charges."""
-        ops = _ops_over([[2]], n=10)
-        opnd = ops.gather_prefix(0, inbound=False)
-        vals = np.array([1, 2, 3])
-        segs = np.zeros(3, dtype=np.int64)
-        found = np.array([False, True, False])
-        w_a = Warp(warp_id=0, block_id=0)
-        got_v, _ = ops.set_op(w_a, vals, segs, opnd, False, found=found)
-        w_b = Warp(warp_id=1, block_id=0)
-        ref_v, _ = ops.set_op(w_b, vals, segs, opnd, False)
-        assert got_v.tolist() == ref_v.tolist() == [2]
-        assert w_a.clock == w_b.clock
-
-    def test_costless_without_warp(self):
-        ops = _ops_over([[2]], n=10)
-        got_v, got_s = ops.set_op(None, np.array([1, 2]), np.zeros(2, dtype=np.int64),
-                                  ops.gather_prefix(0, inbound=False), False)
-        assert got_v.tolist() == [2]
