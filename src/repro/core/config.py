@@ -1,7 +1,8 @@
 """Engine configuration (the paper's tunables, Sec. VIII-A).
 
 Defaults follow the paper's settings: ``StopLevel = 2``,
-``DetectLevel = 1``, ``UNROLL = 8``, ``MAX_DEGREE = 4096``.  Feature
+``UNROLL = 8``, ``MAX_DEGREE = 4096``; ``DetectLevel`` defaults to
+``min(2, StopLevel)`` (see :attr:`EngineConfig.detect_level`).  Feature
 flags correspond to the ablation variants of Fig. 12: ``naive``
 (no stealing, no unrolling), ``localsteal``, ``local+globalsteal`` and
 ``unroll+local+globalsteal``.
@@ -110,14 +111,6 @@ class EngineConfig:
     #   identical by construction; only host wall-clock changes.
     #   The REPRO_CODEGEN env var overrides at resolution time for CI
     #   matrices.
-    graph_backend: str = "memory"
-    #   graph residency backend (repro.scale.backend): "memory" keeps
-    #   the CSR arrays in RAM; "memmap" spills them once to an on-disk
-    #   store at engine construction and runs on the memory-mapped twin,
-    #   so multi-GB graphs load lazily and untouched pages never fault
-    #   in.  The arrays are equal either way — matches AND simulated
-    #   cycles are byte-identical (tests/test_scale_backend.py).  The
-    #   REPRO_GRAPH_BACKEND env var overrides at resolution time.
     partition_mode: str = "replicate"
     #   how the multi-shard drivers split the data graph:
     #   "replicate" is the paper's Fig. 11 model — every device holds
@@ -165,10 +158,6 @@ class EngineConfig:
         if self.worker_timeout_s is not None and self.worker_timeout_s <= 0:
             raise ValueError(
                 "worker_timeout_s must be > 0 seconds (or None to wait forever)"
-            )
-        if self.graph_backend not in ("memory", "memmap"):
-            raise ValueError(
-                f"graph_backend must be 'memory' or 'memmap', not {self.graph_backend!r}"
             )
         if self.partition_mode not in ("replicate", "range"):
             raise ValueError(

@@ -119,21 +119,15 @@ class STMatchEngine:
         The data graph (labeled or not).
     config:
         Engine configuration; defaults to the paper's settings
-        (UNROLL=8, StopLevel=2, DetectLevel=1, both steal levels on,
-        code motion on).
+        (UNROLL=8, StopLevel=2, DetectLevel=min(2, StopLevel), both
+        steal levels on, code motion on).
     """
 
     name = "stmatch"
 
     def __init__(self, graph: CSRGraph, config: EngineConfig | None = None) -> None:
-        from repro.scale.backend import resolve_graph_backend, with_backend
-
         self.config = config or EngineConfig()
-        # residency backend: "memmap" re-homes a plain in-memory graph
-        # onto its on-disk memory-mapped twin (memoized on the graph, so
-        # repeated engine constructions share one spill).  Array values
-        # are equal either way — matches and cycles stay byte-identical.
-        self.graph = with_backend(graph, resolve_graph_backend(self.config))
+        self.graph = graph
 
     # -- planning ----------------------------------------------------------
 

@@ -187,7 +187,6 @@ def run_multi_gpu(
         raise ValueError("need at least one device")
     config = config or EngineConfig()
     engine = STMatchEngine(graph, config)
-    graph = engine.graph  # backend-resolved (e.g. the memmap twin)
     if isinstance(query, MatchingPlan):
         plan = query
     else:

@@ -162,13 +162,12 @@ def resolve_execution(config: "EngineConfig") -> tuple[str, int]:
             f"unknown executor {executor!r} (expected 'serial' or 'process')"
         )
     raw = os.environ.get("REPRO_NUM_WORKERS", "").strip()
-    if raw:
-        workers = int(raw)
-    elif config.num_workers is not None:
-        workers = config.num_workers
-    else:
-        workers = default_num_workers()
-    return executor, max(1, workers)
+    if not raw:
+        return executor, config.num_workers or default_num_workers()
+    if not (raw.isdecimal() and int(raw) >= 1):
+        # the rule EngineConfig.num_workers enforces
+        raise ValueError(f"REPRO_NUM_WORKERS={raw!r} must be an integer >= 1")
+    return executor, int(raw)
 
 
 def _execute_shard(
@@ -179,16 +178,15 @@ def _execute_shard(
     fault_plan: "FaultPlan | None",
 ) -> RunResult:
     """Run one shard — the single code path shared by worker processes
-    and the in-process fallback, which is what makes them identical."""
+    and the in-process fallback, which is what makes them identical.
+    Every branch reads ``graph`` as handed in: in process, a memory-mapped
+    graph is read in place; a pool worker reads its shared-memory export."""
     from repro.core.engine import STMatchEngine
     from repro.virtgpu.device import VirtualDevice
 
     if spec.count_only:
         from repro.core.frontier import frontier_count
-        from repro.scale.backend import resolve_graph_backend, with_backend
 
-        # read the residency backend's twin, as STMatchEngine would
-        graph = with_backend(graph, resolve_graph_backend(config))
         return RunResult(system="frontier", matches=frontier_count(graph, plan),
                          status=RunStatus.OK)
     if spec.vertex_range is not None:

@@ -12,13 +12,12 @@ axes that compose:
   memory-mapped (``np.memmap`` behind
   :meth:`~repro.graph.csr.CSRGraph.wrap_validated`) so untouched pages
   never fault in.
-* :mod:`repro.scale.backend` — the residency knob:
-  ``EngineConfig.graph_backend`` / ``REPRO_GRAPH_BACKEND=memmap``
-  transparently re-homes a graph onto a memory-mapped twin at engine
-  construction.  Matches *and* simulated cycles are byte-identical to
-  the in-memory backend (the arrays are equal; only the OS pager
-  changes), which is the same identity contract the process and
-  codegen backends honor.
+* :mod:`repro.scale.backend` — residency is a property of the graph:
+  a store loaded with ``mmap=True`` (or :func:`memmap_twin` of a heap
+  graph) is memory-mapped before any engine sees it, and engines,
+  services and shards read it in place.  Matches *and* simulated
+  cycles are byte-identical to the in-memory graph (the arrays are
+  equal; only the OS pager changes).
 * :mod:`repro.scale.partition` — **1-hop-replicated vertex-range
   partitioning**: shard ``i`` of ``P`` owns a contiguous vertex range
   plus a replicated copy of its boundary neighborhood
@@ -34,25 +33,17 @@ ownership-filter proof sketch; ``benchmarks/perf``'s ``shard_fanout``
 workload measures partition build, replication and fan-out time.
 """
 
-from .backend import (
-    GRAPH_BACKENDS,
-    graph_backend_of,
-    resolve_graph_backend,
-    with_backend,
-)
+from .backend import memmap_twin
 from .ingest import ingest_edge_chunks, ingest_edgelist_file
 from .partition import PartitionedGraph, VertexPartition
 from .store import load_csr_store, save_csr_store
 
 __all__ = [
-    "GRAPH_BACKENDS",
     "PartitionedGraph",
     "VertexPartition",
-    "graph_backend_of",
     "ingest_edge_chunks",
     "ingest_edgelist_file",
     "load_csr_store",
-    "resolve_graph_backend",
+    "memmap_twin",
     "save_csr_store",
-    "with_backend",
 ]

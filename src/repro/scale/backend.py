@@ -1,30 +1,23 @@
-"""Graph residency backends: in-memory arrays vs on-disk memory maps.
+"""Graph residency: in-memory arrays vs on-disk memory maps.
 
-``with_backend(graph, "memmap")`` re-homes a plain in-memory
-:class:`~repro.graph.csr.CSRGraph` onto a memory-mapped twin: the
-arrays are written once into a private on-disk store and reopened with
-``mmap_mode="r"``.  The twin's arrays are *equal* to the originals —
+Where the CSR arrays live is a property of the graph object, not of the
+engine that runs on it: a graph loaded with
+``load_csr_store(..., mmap=True)`` is memory-mapped before any engine,
+service or shard sees it, and every consumer reads it in place.
+
+:func:`memmap_twin` turns a plain in-memory
+:class:`~repro.graph.csr.CSRGraph` into such a graph: the arrays are
+written once into a private on-disk store and reopened with
+``mmap_mode="r"``.  The twin's arrays are *equal* to the originals, so
 matches and simulated cycles are byte-identical by construction; only
-the OS pager changes — so the engine can apply the backend at
-construction time without touching the identity contract.
-
-Selection follows the same precedence the executor knob uses:
-``REPRO_GRAPH_BACKEND`` (environment, wins) then
-``EngineConfig.graph_backend`` (default ``"memory"``).
-
-Graphs that are already out-of-core (loaded from a store, or memmap
-twins themselves) and graph *views* (the PR-9 delta overlay, the
-partition replicas from :mod:`repro.scale.partition`) pass through
-unchanged — spilling a view would silently materialize its base.
+the OS pager changes.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import weakref
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,35 +25,7 @@ from repro.graph.csr import CSRGraph
 
 from .store import load_csr_store, save_csr_store
 
-if TYPE_CHECKING:
-    from repro.core.config import EngineConfig
-
-__all__ = [
-    "GRAPH_BACKENDS",
-    "graph_backend_of",
-    "resolve_graph_backend",
-    "with_backend",
-]
-
-#: valid values for ``EngineConfig.graph_backend`` / ``REPRO_GRAPH_BACKEND``
-GRAPH_BACKENDS = ("memory", "memmap")
-
-_ENV_BACKEND = "REPRO_GRAPH_BACKEND"
-
-
-def resolve_graph_backend(config: "EngineConfig | None" = None) -> str:
-    """Effective graph backend: environment override, then config."""
-    env = os.environ.get(_ENV_BACKEND, "").strip().lower()
-    if env:
-        if env not in GRAPH_BACKENDS:
-            raise ValueError(
-                f"{_ENV_BACKEND}={env!r} is not a graph backend "
-                f"(expected one of {GRAPH_BACKENDS})"
-            )
-        return env
-    if config is not None:
-        return config.graph_backend
-    return "memory"
+__all__ = ["memmap_twin"]
 
 
 def is_memmap_backed(graph: CSRGraph) -> bool:
@@ -68,36 +33,27 @@ def is_memmap_backed(graph: CSRGraph) -> bool:
     return isinstance(graph.indices, np.memmap) or isinstance(graph.indptr, np.memmap)
 
 
-def graph_backend_of(graph: CSRGraph) -> str:
-    """The residency backend ``graph`` currently runs on."""
-    return "memmap" if is_memmap_backed(graph) else "memory"
+def memmap_twin(graph: CSRGraph) -> CSRGraph:
+    """The memory-mapped twin of a plain in-memory ``graph``.
 
-
-def with_backend(graph: CSRGraph, backend: str) -> CSRGraph:
-    """Return ``graph`` re-homed on ``backend``.
-
-    ``"memory"`` is the identity.  ``"memmap"`` spills a plain
-    in-memory :class:`CSRGraph` to a private temp store and returns the
-    memory-mapped twin; the twin is memoized on the source graph so the
-    engine, the serve layer and repeated constructions share one spill.
-    Overlay/partition views and already-mapped graphs pass through
-    unchanged (a view's base may itself be memmapped; re-spilling it
-    would materialize the view).
+    Spills ``graph`` to a private temp store and returns the store
+    reopened with ``mmap=True``; the store is removed once the twin is
+    unreachable.  An already-mapped graph is returned unchanged.  Views
+    (a partition shard, a delta overlay) raise ``TypeError``: spilling
+    one would materialize it, dropping the replica or the pending edits
+    that make it a view — map its base instead.
     """
-    if backend not in GRAPH_BACKENDS:
-        raise ValueError(f"unknown graph backend {backend!r} (expected {GRAPH_BACKENDS})")
-    if backend == "memory":
+    if type(graph) is not CSRGraph:
+        raise TypeError(
+            f"memmap_twin needs a plain CSRGraph, not a {type(graph).__name__} view; "
+            "map its base graph instead"
+        )
+    if is_memmap_backed(graph):
         return graph
-    if type(graph) is not CSRGraph or is_memmap_backed(graph):
-        return graph
-    twin = getattr(graph, "_memmap_twin", None)
-    if twin is not None:
-        return twin  # type: ignore[no-any-return]
     tmp = tempfile.mkdtemp(prefix="repro-memmap-")
     save_csr_store(graph, tmp)
     twin = load_csr_store(tmp, mmap=True)
     # The twin's arrays hold the mapping open; reclaim the temp store
     # only once the twin itself is unreachable.
     weakref.finalize(twin, shutil.rmtree, tmp, True)
-    object.__setattr__(graph, "_memmap_twin", twin)
     return twin

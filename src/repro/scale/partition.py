@@ -12,7 +12,7 @@ vertex range ``[lo, hi)`` and holds a compact local replica of
 because a traversal rooted inside the range reaches outside it after
 one hop.  Deeper hops can leave the replica; those reads fall through
 to the base arrays and are *counted* (``fallback_rows``) — on a real
-cluster they would be remote fetches, under the memmap backend they are
+cluster they would be remote fetches, over a memory-mapped base they are
 page faults into the store, and in both cases the replica is the hot
 resident working set the device is charged for
 (:meth:`PartitionedGraph.device_graph_bytes`).
@@ -125,10 +125,6 @@ class PartitionedGraph(CSRGraph):
     replica — not the whole graph — as its device footprint.
     """
 
-    # with_backend must not spill this view to a memmap twin: its base
-    # may already be memmapped, and the replica arrays are the point.
-    _scale_no_spill = True
-
     @classmethod
     def replicate(cls, base: CSRGraph, lo: int, hi: int) -> "PartitionedGraph":
         """The shard view owning ``[lo, hi)`` of ``base`` (memoized).
@@ -202,8 +198,8 @@ class PartitionedGraph(CSRGraph):
     def fallback_rows(self) -> int:
         """CSR rows served from the base instead of the local replica.
 
-        On a real cluster these are remote fetches; under the memmap
-        backend they are page faults into the on-disk store.
+        On a real cluster these are remote fetches; over a memory-mapped
+        base they are page faults into the on-disk store.
         """
         return self._fallback[0]  # type: ignore[attr-defined,no-any-return]
 
@@ -288,10 +284,19 @@ class PartitionedGraph(CSRGraph):
     def device_graph_bytes(self) -> int:
         """Bytes of graph data resident on the shard's device.
 
-        The replica (local sub-CSR + the owned rows' labels), not the
-        base arrays: the base is the cluster's storage layer, and under
-        the memmap backend it costs pages only when faulted.
+        The replicas (local sub-CSR + its rows' labels), not the base
+        arrays: the base is the cluster's storage layer, and when it is
+        memory-mapped it costs pages only when faulted.  A directed
+        shard is charged its in-row replica too (:meth:`reversed_view`,
+        built here if no in-read has built it yet), so the charge does
+        not depend on whether one has happened.
         """
+        total = self._replica_bytes()
+        if self.directed:
+            total += self.reversed_view()._replica_bytes()  # type: ignore[attr-defined]
+        return total
+
+    def _replica_bytes(self) -> int:
         total = int(
             self._local_indptr.nbytes  # type: ignore[attr-defined]
             + self._local_indices.nbytes  # type: ignore[attr-defined]

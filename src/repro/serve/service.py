@@ -205,16 +205,7 @@ class MatchService:
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
         self.seed = seed
-        # hosted graphs honor the engine's graph backend: under memmap
-        # the host keeps the on-disk twin resident instead of the heap
-        # arrays (serving many graphs bigger than RAM from one box)
-        from repro.scale.backend import resolve_graph_backend, with_backend
-
-        self._graph_backend = resolve_graph_backend(self.config)
-        self._hosts = {
-            name: GraphHost(name, with_backend(g, self._graph_backend))
-            for name, g in graphs.items()
-        }
+        self._hosts = {name: GraphHost(name, g) for name, g in graphs.items()}
         self._tenants = dict(tenants or {})
         self._default_policy = default_tenant_policy or TenantPolicy()
         self._cache = ResultCache(
@@ -279,10 +270,7 @@ class MatchService:
         In-flight requests finish on their snapshot and honestly name
         the old version; entries of other (still-named) versions are
         left alone."""
-        from repro.scale.backend import with_backend
-
         host = self._host(name)
-        graph = with_backend(graph, self._graph_backend)
         with self._edit_lock:
             old_version = host.version
             version = host.update(graph)

@@ -59,13 +59,12 @@ def test_knob_census():
         "unroll", "stop_level", "detect_level", "max_degree", "chunk_size",
         "local_steal", "global_steal", "code_motion", "device", "max_results",
         "sanitize", "checkpoint_interval", "observe", "executor", "num_workers",
-        "worker_timeout_s", "codegen", "graph_backend", "partition_mode",
+        "worker_timeout_s", "codegen", "partition_mode",
     ]
     env: set[str] = set()
     for path in Path(repro.__file__).parent.rglob("*.py"):
         env.update(re.findall(r"\bREPRO_[A-Z_]+\b", path.read_text(encoding="utf-8")))
-    assert env == {"REPRO_CODEGEN", "REPRO_EXECUTOR", "REPRO_GRAPH_BACKEND",
-                   "REPRO_NUM_WORKERS"}
+    assert env == {"REPRO_CODEGEN", "REPRO_EXECUTOR", "REPRO_NUM_WORKERS"}
 
 
 def test_with_revalidates():

@@ -6,13 +6,10 @@ ground truth as the engine: the checked-in VF2/|Aut| golden counts,
 ``STMatchEngine.count`` over q1–q24 × {unlabeled, labeled} ×
 {edge, vertex-induced} on both corpus graphs, overlays against their
 compaction, pinned runs against a pinned backtracking count (itself
-checked against VF2), and self-loop graphs.
+checked against VF2), and self-loop graphs.  The golden cells run on
+the heap graph and on its memory-mapped twin.
 Forcing the element budget down must not move a count, and no gather
 may exceed the budget unless it is a single row.
-
-Graphs go through the configured residency backend, so the memmap CI
-leg (``REPRO_GRAPH_BACKEND=memmap``) runs every cell on a memory-mapped
-twin.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
 from repro.pattern import QueryGraph, build_plan, get_query
-from repro.scale.backend import resolve_graph_backend, with_backend
+from repro.scale import memmap_twin
 
 from tests import oracle
 from tests.test_anchor_orbits import BIJECTION_CASES, _anchored_plan
@@ -36,21 +33,20 @@ from tests.test_anchor_orbits import BIJECTION_CASES, _anchored_plan
 QUERY_NAMES = [f"q{i}" for i in range(1, 25)]
 
 
-def _backed(graph: CSRGraph) -> CSRGraph:
-    return with_backend(graph, resolve_graph_backend())
+#: where a cell's graph arrays live: the heap, or an on-disk store's pages
+RESIDENCY = {"heap": lambda g: g, "memmap": memmap_twin}
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return {name: _backed(g) for name, g in oracle.corpus_graphs().items()}
+    return oracle.corpus_graphs()
 
 
 def _pair(graph: CSRGraph, qname: str, labeled: bool) -> tuple[CSRGraph, QueryGraph]:
     q = get_query(qname)
     if not labeled:
         return graph, q
-    lg, lq = oracle.labeled_pair(graph, q)
-    return _backed(lg), lq
+    return oracle.labeled_pair(graph, q)
 
 
 def _count(graph, query, vertex_induced=False) -> int:
@@ -64,7 +60,8 @@ def test_equals_golden_counts(corpus, gname, mode):
     golden = oracle.load_fixture()["counts"][gname][mode]
     for qname in oracle.ORACLE_QUERIES:
         g, q = _pair(corpus[gname], qname, mode == "labeled")
-        assert _count(g, q) == golden[qname], (gname, mode, qname)
+        for residency, home in RESIDENCY.items():
+            assert _count(home(g), q) == golden[qname], (gname, mode, qname, residency)
 
 
 @pytest.mark.parametrize("gname", ["dense", "sparse"])
@@ -104,7 +101,6 @@ def test_pinned_counts_equal_pinned_engine_runs(q):
         g = powerlaw_cluster(18, 6, 0.9, seed=seed)
         if q.is_labeled:
             g = assign_random_labels(g, num_labels=2, seed=seed)
-        g = _backed(g)
         ref: dict[frozenset[tuple[int, int]], int] = {}
         edges = sorted(g.edges())
         pinned = [e for u, v in edges[:: len(edges) // 3][:3] for e in ((u, v), (v, u))]

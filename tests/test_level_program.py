@@ -8,9 +8,10 @@ charges), so it gets ordinary unit tests:
   over q1–q24 × {unlabeled, labeled} × {edge, vertex-induced};
 * every count-only leaf equals the generic fused-filter path — per-slot
   counts *and* the recorded charge / tracer stream — on randomly built
-  stacks, on simple, self-loop, directed, overlay (both directions) and
-  partition-shard graphs, with warm and invalidated memos, and the walk
-  equals the per-slot reference in ``tests/oracle.py``;
+  stacks, on simple, self-loop, directed, overlay (both directions),
+  partition-shard and memory-mapped graphs, with warm and invalidated
+  memos, and the walk equals the per-slot reference in
+  ``tests/oracle.py``;
 * a flipped plan reads only its shared set's rows (once per stack and
   set) and the used vertices' rows, never a candidate's;
 * a leaf plans once per parent frame and replays per batch: every window
@@ -19,9 +20,9 @@ charges), so it gets ordinary unit tests:
   cloned frames, and over random window sequences (hypothesis);
 * replays never enter the walk: ``dense_count``'s q5 cell builds one
   flipped plan per parent frame (2 053), and kernel runs that steal,
-  lose pushes, resume from a checkpoint or perturb the schedule equal
-  the per-slot reference, 4-vertex queries (parent frame at
-  ``stop_level``) included.
+  lose pushes, resume from a checkpoint, perturb the schedule or read a
+  memory-mapped twin equal the per-slot reference, 4-vertex queries
+  (parent frame at ``stop_level``) included.
 """
 
 import tracemalloc
@@ -48,8 +49,7 @@ from repro.graph import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
 from repro.pattern import QUERIES, build_plan
-from repro.scale import PartitionedGraph
-from repro.scale.backend import resolve_graph_backend, with_backend
+from repro.scale import PartitionedGraph, memmap_twin
 from repro.virtgpu.device import VirtualDevice
 from repro.virtgpu.warp import Warp
 
@@ -151,13 +151,7 @@ def _random_graph(rng, n=28, p=0.3, directed=False, self_loops=False) -> CSRGrap
     np.fill_diagonal(mask, rng.random(n) < 0.4 if self_loops else False)
     rows = [np.nonzero(mask[v])[0].astype(np.int32) for v in range(n)]
     indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
-    return _backed(CSRGraph(indptr=indptr, indices=np.concatenate(rows), directed=directed))
-
-
-def _backed(graph: CSRGraph) -> CSRGraph:
-    """``graph`` on the backend ``REPRO_GRAPH_BACKEND`` names (CI's
-    memmap leg): every leaf reads rows and degrees through it."""
-    return with_backend(graph, resolve_graph_backend())
+    return CSRGraph(indptr=indptr, indices=np.concatenate(rows), directed=directed)
 
 
 def _overlay(rng, g: CSRGraph) -> OverlayGraph:
@@ -182,6 +176,8 @@ GRAPHS = {
     "directed-overlay": lambda rng: _overlay(rng, _random_graph(rng, directed=True)),
     # owns [0, 2): about half the rows are replica, the rest fallback reads
     "partition-shard": lambda rng: PartitionedGraph.replicate(_random_graph(rng), 0, 2),
+    # every row and self-loop read goes to the pages of an on-disk store
+    "memmap": lambda rng: memmap_twin(_random_graph(rng, self_loops=True)),
 }
 
 
@@ -680,7 +676,7 @@ def _launch(plan, cfg, computer):
 
 def _skewed():
     # skewed degrees: both steal levels fire (local splits, global pushes)
-    return _backed(powerlaw_cluster(150, m=4, p_triangle=0.6, seed=3))
+    return powerlaw_cluster(150, m=4, p_triangle=0.6, seed=3)
 
 
 #: 4-vertex queries: the parent frame sits at stop_level = 2, where steal
@@ -738,6 +734,13 @@ class TestPlansAcrossKernelEvents:
         got, ref = self._both(_skewed(), qname, EngineConfig())
         self._same(got, ref)
         assert got.num_local_steals > 0 and got.num_global_steals > 0
+
+    def test_memmap_twin(self, qname):
+        """The walk and every leaf read a memory-mapped graph in place:
+        the run equals the reference on the heap graph."""
+        graph = _skewed()
+        got = STMatchEngine(memmap_twin(graph), EngineConfig()).run(QUERIES[qname])
+        self._same(got, ReferenceEngine(graph, EngineConfig()).run(QUERIES[qname]))
 
     def test_lost_pushes_reabsorbed(self, qname):
         def device():

@@ -33,6 +33,7 @@ from repro.parallel import (
 )
 from repro.parallel import executor as executor_mod
 from repro.pattern import QUERIES
+from repro.scale import memmap_twin
 from repro.serve import MatchRequest, MatchService, ResponseStatus
 from tests import oracle
 
@@ -265,6 +266,20 @@ def test_single_worker_never_spawns_a_pool(graphs, monkeypatch):
     assert single[0].status == RunStatus.OK
 
 
+def test_process_shard_over_memmap_twin(graphs):
+    """A pool worker runs on the shared-memory export of a memory-mapped
+    graph: count-only and simulated shards equal the heap graph's."""
+    graph = graphs["dense"]
+    plan = STMatchEngine(graph).plan(QUERIES["q4"])
+    specs = [ShardSpec(index=0, device_id=0, count_only=True),
+             ShardSpec(index=1, device_id=0, root_partition=(0, 1))]
+    heap = run_shards(graph, plan, EngineConfig(), specs, num_workers=1)
+    mapped = run_shards(memmap_twin(graph), plan, EngineConfig(), specs, num_workers=2)
+    assert [(r.matches, r.cycles, r.status) for r in mapped] \
+        == [(r.matches, r.cycles, r.status) for r in heap]
+    assert heap[0].matches == heap[1].matches > 0
+
+
 def test_env_overrides_resolution(monkeypatch):
     cfg = EngineConfig(executor="serial")
     monkeypatch.setenv("REPRO_EXECUTOR", "process")
@@ -274,6 +289,10 @@ def test_env_overrides_resolution(monkeypatch):
     with pytest.raises(ValueError, match="bogus"):
         resolve_execution(cfg)
     monkeypatch.delenv("REPRO_EXECUTOR")
+    for bad in ("0", "-4", "two"):  # EngineConfig(num_workers=...)'s rule
+        monkeypatch.setenv("REPRO_NUM_WORKERS", bad)
+        with pytest.raises(ValueError, match="REPRO_NUM_WORKERS"):
+            resolve_execution(cfg)
     monkeypatch.delenv("REPRO_NUM_WORKERS")
     assert resolve_execution(cfg) == ("serial", default_num_workers())
     assert resolve_execution(

@@ -33,7 +33,7 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.graph.csr import CSRGraph
 from repro.parallel import shutdown_pools
 from repro.pattern import QUERIES, build_plan, get_query
-from repro.scale import PartitionedGraph, VertexPartition
+from repro.scale import PartitionedGraph, VertexPartition, memmap_twin
 from tests import oracle
 
 QUICK_QUERIES = ["q1", "q4", "q6", "q13"]
@@ -42,8 +42,7 @@ QUICK_QUERIES = ["q1", "q4", "q6", "q13"]
 @pytest.fixture(scope="module", autouse=True)
 def _controlled_backend():
     saved = {k: os.environ.pop(k, None)
-             for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS",
-                       "REPRO_GRAPH_BACKEND")}
+             for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
     yield
     for k, v in saved.items():
         if v is not None:
@@ -162,6 +161,19 @@ class TestPartitionedGraph:
         undirected = PartitionedGraph.replicate(CSRGraph.from_edges(6, ring), 0, 2)
         assert undirected.reversed_view() is undirected
 
+    def test_directed_shard_charges_both_replicas(self):
+        """A directed shard's device charge is its out-row plus its
+        in-row replica, before and after an in-read builds the latter."""
+        rng = np.random.default_rng(0)
+        g = CSRGraph.from_edges(2000, rng.integers(0, 2000, size=(8000, 2)), directed=True)
+        shard = PartitionedGraph.replicate(g, 0, 100)
+        before = shard.device_graph_bytes()
+        rev = shard.reversed_view()
+        want = sum(int(v._local_indptr.nbytes + v._local_indices.nbytes)
+                   for v in (shard, rev))
+        assert before == shard.device_graph_bytes() == want
+        assert rev._local_indices.size > 0
+
     def test_no_nested_partitioning(self, graphs):
         shard = PartitionedGraph.replicate(graphs["dense"], 0, 10)
         with pytest.raises(TypeError):
@@ -267,11 +279,15 @@ class TestRangeIdentity:
         assert res.matches == fixture["counts"]["dense"]["unlabeled"]["q6"]
 
     def test_memmap_plus_range(self, graphs, fixture):
-        """Both tiers compose: memmap backend under range partitioning."""
+        """Both tiers compose: range shards over a memory-mapped base
+        count and charge exactly as over the heap graph."""
         g = graphs["sparse"]
-        cfg = EngineConfig(partition_mode="range", graph_backend="memmap")
-        res = run_multi_gpu(g, get_query("q1"), num_devices=3, config=cfg)
-        assert res.matches == fixture["counts"]["sparse"]["unlabeled"]["q1"]
+        cfg = EngineConfig(partition_mode="range")
+        heap, mapped = (run_multi_gpu(base, get_query("q1"), num_devices=3, config=cfg)
+                        for base in (g, memmap_twin(g)))
+        assert mapped.matches == heap.matches \
+            == fixture["counts"]["sparse"]["unlabeled"]["q1"]
+        assert [r.cycles for r in mapped.per_device] == [r.cycles for r in heap.per_device]
 
 
 class TestRangeAcrossDrivers:

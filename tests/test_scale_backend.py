@@ -6,13 +6,13 @@ identical matches AND simulated cycles to the in-memory original over
 the full golden matrix.  The second is that the chunked ingest path —
 which never materializes the whole edge list — builds arrays byte-
 identical to :meth:`CSRGraph.from_edges`.  Both identities are pinned
-here, along with the on-disk store round-trip, backend resolution
-precedence, shard residency over a mapped store, and the streaming
-SNAP loader.
+here, along with the on-disk store round-trip, :func:`memmap_twin`,
+shard residency over a mapped store, and the streaming SNAP loader.
 """
 
 from __future__ import annotations
 
+import gc
 import io as _io
 import os
 
@@ -21,19 +21,17 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import STMatchEngine
+from repro.dynamic import EditBatch, OverlayGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.io import iter_edge_chunks, load_snap_edgelist
 from repro.pattern import QUERIES, build_plan, get_query
 from repro.scale import (
-    GRAPH_BACKENDS,
     PartitionedGraph,
-    graph_backend_of,
     ingest_edge_chunks,
     ingest_edgelist_file,
     load_csr_store,
-    resolve_graph_backend,
+    memmap_twin,
     save_csr_store,
-    with_backend,
 )
 from repro.scale.backend import is_memmap_backed
 from repro.scale.store import is_csr_store
@@ -48,11 +46,6 @@ def graphs():
 @pytest.fixture(scope="module")
 def fixture():
     return oracle.load_fixture()
-
-
-@pytest.fixture(autouse=True)
-def _no_env_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
 
 
 def random_multigraph_edges(rng, n, m, self_loops=True):
@@ -88,47 +81,37 @@ class TestStore:
             load_csr_store(tmp_path)
 
 
-class TestBackendResolution:
-    def test_default_is_memory(self):
-        assert resolve_graph_backend() == "memory"
-        assert resolve_graph_backend(EngineConfig()) == "memory"
-
-    def test_config_selects(self):
-        cfg = EngineConfig(graph_backend="memmap")
-        assert resolve_graph_backend(cfg) == "memmap"
-
-    def test_env_wins_over_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "memory")
-        assert resolve_graph_backend(EngineConfig(graph_backend="memmap")) \
-            == "memory"
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "memmap")
-        assert resolve_graph_backend(EngineConfig()) == "memmap"
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "gpu-direct-storage")
-        with pytest.raises(ValueError, match="REPRO_GRAPH_BACKEND"):
-            resolve_graph_backend()
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError, match="graph_backend"):
-            EngineConfig(graph_backend="nvme")
-
-    def test_with_backend_memoizes_twin(self, graphs):
+class TestMemmapTwin:
+    def test_spills_a_plain_graph(self, graphs):
         g = graphs["sparse"]
-        twin = with_backend(g, "memmap")
-        assert twin is not g and is_memmap_backed(twin)
-        assert with_backend(g, "memmap") is twin  # cached
-        assert with_backend(twin, "memmap") is twin  # idempotent
-        assert with_backend(g, "memory") is g
-        assert graph_backend_of(twin) == "memmap"
-        assert graph_backend_of(g) == "memory"
+        twin = memmap_twin(g)
+        assert twin is not g and is_memmap_backed(twin) and not is_memmap_backed(g)
+        assert np.array_equal(twin.indptr, g.indptr)
+        assert np.array_equal(twin.indices, g.indices)
+        assert (twin.num_vertices, twin.directed) == (g.num_vertices, g.directed)
 
-    def test_subclasses_pass_through(self, graphs):
-        shard = PartitionedGraph.replicate(graphs["sparse"], 0, 10)
-        assert with_backend(shard, "memmap") is shard
+    def test_mapped_graph_unchanged(self, tmp_path, graphs):
+        twin = memmap_twin(graphs["sparse"])
+        assert memmap_twin(twin) is twin
+        stored = load_csr_store(save_csr_store(graphs["dense"], tmp_path / "s"), mmap=True)
+        assert memmap_twin(stored) is stored
 
-    def test_backends_registry(self):
-        assert GRAPH_BACKENDS == ("memory", "memmap")
+    def test_store_removed_with_the_twin(self, graphs):
+        twin = memmap_twin(graphs["sparse"])
+        store = os.path.dirname(twin.indices.filename)
+        assert os.path.isdir(store)
+        del twin
+        gc.collect()
+        assert not os.path.exists(store)
+
+    def test_views_rejected(self, graphs):
+        g = graphs["sparse"]
+        with pytest.raises(TypeError, match="PartitionedGraph"):
+            memmap_twin(PartitionedGraph.replicate(g, 0, 10))
+        u, v = next(iter(g.edges()))
+        overlay = OverlayGraph.from_edits(g, EditBatch.from_lists(deletes=[(u, v)]))
+        with pytest.raises(TypeError, match="OverlayGraph"):
+            memmap_twin(overlay)
 
 
 class TestMemmapMatchIdentity:
@@ -140,8 +123,7 @@ class TestMemmapMatchIdentity:
         g = graphs[gname]
         plan = build_plan(get_query(qname))
         ref = STMatchEngine(g, EngineConfig()).run(plan)
-        mm = STMatchEngine(
-            g, EngineConfig(graph_backend="memmap")).run(plan)
+        mm = STMatchEngine(memmap_twin(g), EngineConfig()).run(plan)
         assert mm.matches == ref.matches \
             == fixture["counts"][gname]["unlabeled"][qname]
         assert mm.cycles == ref.cycles
@@ -152,19 +134,10 @@ class TestMemmapMatchIdentity:
         lg, lq = oracle.labeled_pair(graphs[gname], QUERIES[qname])
         plan = build_plan(lq)
         ref = STMatchEngine(lg, EngineConfig()).run(plan)
-        mm = STMatchEngine(
-            lg, EngineConfig(graph_backend="memmap")).run(plan)
+        mm = STMatchEngine(memmap_twin(lg), EngineConfig()).run(plan)
         assert mm.matches == ref.matches \
             == fixture["counts"][gname]["labeled"][qname]
         assert mm.cycles == ref.cycles
-
-    def test_env_backend_reaches_engine(self, graphs, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "memmap")
-        eng = STMatchEngine(graphs["sparse"], EngineConfig())
-        assert is_memmap_backed(eng.graph)
-        ref = STMatchEngine(graphs["sparse"]).run(get_query("q4"))
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "memmap")
-        assert eng.run(get_query("q4")).matches == ref.matches
 
 
 class TestChunkedIngest:
@@ -301,5 +274,4 @@ class TestDeviceGraphBytes:
 
     def test_memmap_twin_same_charge(self, graphs):
         g = graphs["sparse"]
-        assert with_backend(g, "memmap").device_graph_bytes() \
-            == g.device_graph_bytes()
+        assert memmap_twin(g).device_graph_bytes() == g.device_graph_bytes()

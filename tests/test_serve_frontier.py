@@ -8,8 +8,9 @@ without a ``cycle_quota``.  Such a shard is answered by
 ``frontier_count`` and reports zero cycles.  These tests hold those
 answers to ``STMatchEngine.count`` under both executors, check that
 every ineligible request still runs the simulator (``cycles > 0``),
-and that a frontier-filled cache entry patches forward through
-``apply_edits`` to the count of the compacted graph.
+that a hosted memory-mapped graph is served in place, and that a
+frontier-filled cache entry patches forward through ``apply_edits`` to
+the count of the compacted graph.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.graph.csr import CSRGraph
 from repro.parallel import shutdown_pools
 from repro.pattern import QueryGraph, get_query
+from repro.scale import memmap_twin
 from repro.serve import (
     CircuitBreaker,
     MatchRequest,
@@ -116,6 +118,18 @@ def test_directed_requests_stay_on_the_simulator():
     assert r.status == ResponseStatus.OK, r.detail
     assert r.cycles > 0 and r.exact
     assert r.matches == STMatchEngine(g).count(q) > 0
+
+
+def test_hosted_memmap_twin_is_read_in_place():
+    """A hosted memory-mapped graph answers exact requests from the
+    frontier with the heap graph's count."""
+    g = oracle.corpus_graphs()["dense"]
+    twin = memmap_twin(g)
+    svc = MatchService({"g": twin})
+    assert svc._host("g").snapshot()[0] is twin
+    r = svc.match(MatchRequest(graph="g", query=get_query("q4")))
+    assert r.status == ResponseStatus.OK, r.detail
+    assert (r.matches, r.exact, r.cycles) == (STMatchEngine(g).count(get_query("q4")), True, 0.0)
 
 
 def test_rung_1_degrades_onto_the_frontier():
