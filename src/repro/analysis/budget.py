@@ -223,7 +223,7 @@ def lint_budget(
                 hint=f"lower num_workers toward {max(1, num_chunks)} or "
                 "shrink chunk_size so every worker owns at least one chunk",
             )
-    if isinstance(plan, MatchingPlan):
+    if config.codegen and isinstance(plan, MatchingPlan):
         try:
             from repro.codegen.emit import (
                 SOURCE_BUDGET_BYTES,

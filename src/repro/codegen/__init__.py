@@ -20,9 +20,3 @@ checks).  Only host wall-clock changes.
 Imports run one way: this package imports ``repro.core``; core reaches
 it only lazily (``STMatchEngine._make_computer``).
 """
-
-from repro.lru import LRUCache
-
-from .cache import resolve_codegen
-
-__all__ = ["LRUCache", "resolve_codegen"]

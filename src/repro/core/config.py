@@ -87,13 +87,12 @@ class EngineConfig:
     #   MatchService): "serial" in-process, "process" on a persistent
     #   ProcessPoolExecutor over a shared-memory graph.  Both run the
     #   same shard function, so results are identical
-    #   (tests/test_parallel_identity.py).  The REPRO_EXECUTOR env var
-    #   overrides at resolution time for CI matrices.
+    #   (tests/test_parallel_identity.py).
     num_workers: int | None = None
     #   worker processes for executor="process" (None = all usable
-    #   cores; REPRO_NUM_WORKERS overrides).  Pools spawn lazily and
-    #   only when num_workers > 1 AND more than one shard exists — tiny
-    #   runs never pay fork/IPC overhead (serial fast fallback).
+    #   cores).  Pools spawn lazily and only when num_workers > 1 AND
+    #   more than one shard exists — tiny runs never pay fork/IPC
+    #   overhead (serial fast fallback).
     worker_timeout_s: float | None = None
     #   wall-clock cap on one parallel shard batch: shards unfinished
     #   when it expires surface individually as TIMEOUT with a
@@ -109,8 +108,6 @@ class EngineConfig:
     #   core/levelops.py functions as the interpreted walk, so matches,
     #   simulated cycles, steal schedules and tracer streams are
     #   identical by construction; only host wall-clock changes.
-    #   The REPRO_CODEGEN env var overrides at resolution time for CI
-    #   matrices.
     partition_mode: str = "replicate"
     #   how the multi-shard drivers split the data graph:
     #   "replicate" is the paper's Fig. 11 model — every device holds

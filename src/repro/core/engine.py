@@ -324,10 +324,8 @@ class STMatchEngine:
 
     def _make_computer(self, plan: MatchingPlan, cfg: EngineConfig) -> CandidateComputer:
         """Pick the candidate backend: interpreted, or the compiled tier."""
-        # core reaches repro.codegen only lazily: imports run one way
-        from repro.codegen.cache import resolve_codegen
-
-        if resolve_codegen(cfg):
+        if cfg.codegen:
+            # core reaches repro.codegen only lazily: imports run one way
             from repro.codegen.computer import CodegenCandidateComputer
 
             return CodegenCandidateComputer(self.graph, plan, cfg)

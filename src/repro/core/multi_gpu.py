@@ -155,11 +155,10 @@ def run_multi_gpu(
     :class:`~repro.parallel.ShardSpec` per shard handed to
     :func:`~repro.parallel.run_shards`: in-process under the serial
     executor, on the persistent worker pool over a shared-memory copy
-    of the graph under ``config.executor == "process"`` (or
-    ``REPRO_EXECUTOR``) — the same shard function either way.  A
-    worker that dies surfaces as a FAILED shard, one that trips the
-    batch deadline as a TIMEOUT shard, and both are re-queued onto the
-    survivors like any other failure.
+    of the graph under ``config.executor == "process"`` — the same
+    shard function either way.  A worker that dies surfaces as a
+    FAILED shard, one that trips the batch deadline as a TIMEOUT shard,
+    and both are re-queued onto the survivors like any other failure.
 
     With ``config.partition_mode == "range"`` the paper's duplication
     model is replaced by the scale decomposition: an edge-balanced

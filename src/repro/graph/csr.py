@@ -361,8 +361,14 @@ class CSRGraph:
         :class:`repro.scale.partition.PartitionedGraph` charges only its
         owned-range + boundary replica — and the engine's fixed-memory
         allocator and the B-rule budget linter both go through here.
+        A directed graph is charged its in-row CSR too
+        (:meth:`reversed_view`, built here if no in-read has built it
+        yet), so the charge does not depend on whether one has happened.
         """
         total = int(self.indices.nbytes + self.indptr.nbytes)
+        if self.directed:
+            rev = self.reversed_view()
+            total += int(rev.indices.nbytes + rev.indptr.nbytes)
         if self.labels is not None:
             total += int(self.labels.nbytes)
         return total

@@ -11,10 +11,9 @@ onto real CPU cores for genuine wall-clock scaling while staying
   workers attach zero-copy and cache per graph.
 * :mod:`repro.parallel.executor` — shard specs, the persistent
   :class:`~concurrent.futures.ProcessPoolExecutor` registry, the serial
-  fast fallback, env-override resolution and crash containment.
+  fast fallback and crash containment.
 
-Selected via ``EngineConfig(executor="process", num_workers=N)`` or the
-``REPRO_EXECUTOR`` / ``REPRO_NUM_WORKERS`` environment overrides; see
+Selected via ``EngineConfig(executor="process", num_workers=N)`` only; see
 ``docs/PERFORMANCE.md`` for the scaling study and when process overhead
 loses.
 """

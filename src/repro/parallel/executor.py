@@ -30,10 +30,7 @@ In-process execution
 --------------------
 ``run_shards`` executes in-process when ``num_workers <= 1`` or only
 one shard exists, so serial and tiny runs never pay fork/IPC
-overhead.  The ``REPRO_EXECUTOR`` and
-``REPRO_NUM_WORKERS`` environment variables override the config at
-resolution time (CI matrices re-run the whole suite under the process
-backend without touching call sites).
+overhead.
 
 Crash containment
 -----------------
@@ -150,24 +147,9 @@ def default_num_workers() -> int:
 
 
 def resolve_execution(config: "EngineConfig") -> tuple[str, int]:
-    """Resolve ``(executor, num_workers)`` with env overrides applied.
-
-    ``REPRO_EXECUTOR`` (``serial`` | ``process``) and
-    ``REPRO_NUM_WORKERS`` take precedence over the config so CI
-    matrices can re-route every driver without touching call sites.
-    """
-    executor = os.environ.get("REPRO_EXECUTOR", "").strip() or config.executor
-    if executor not in ("serial", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r} (expected 'serial' or 'process')"
-        )
-    raw = os.environ.get("REPRO_NUM_WORKERS", "").strip()
-    if not raw:
-        return executor, config.num_workers or default_num_workers()
-    if not (raw.isdecimal() and int(raw) >= 1):
-        # the rule EngineConfig.num_workers enforces
-        raise ValueError(f"REPRO_NUM_WORKERS={raw!r} must be an integer >= 1")
-    return executor, int(raw)
+    """``(executor, num_workers)`` of ``config``; ``num_workers=None``
+    means :func:`default_num_workers` (``EngineConfig`` validates both)."""
+    return config.executor, config.num_workers or default_num_workers()
 
 
 def _execute_shard(

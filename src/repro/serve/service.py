@@ -243,8 +243,7 @@ class MatchService:
 
         # keep graphs resident: pre-export the shared-memory segments so
         # the first pool request doesn't pay the copy
-        executor, _ = resolve_execution(self.config)
-        if executor == "process":
+        if self.config.executor == "process":
             for host in self._hosts.values():
                 export_graph(host.snapshot()[0])
 
@@ -275,8 +274,7 @@ class MatchService:
             old_version = host.version
             version = host.update(graph)
             self._cache.invalidate_graph(name, version=old_version)
-        executor, _ = resolve_execution(self.config)
-        if executor == "process":
+        if self.config.executor == "process":
             export_graph(graph)
         return version
 
@@ -355,8 +353,7 @@ class MatchService:
                 patched += 1
             invalidated = self._cache.invalidate_graph(
                 name, version=old_version)
-        executor, _ = resolve_execution(self.config)
-        if executor == "process":
+        if self.config.executor == "process":
             export_graph(new_graph)
         return EditReport(
             graph=name, old_version=old_version, new_version=new_version,

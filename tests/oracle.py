@@ -468,8 +468,8 @@ class ReferenceCandidateComputer(CandidateComputer):
 class ReferenceEngine(STMatchEngine):
     """An :class:`STMatchEngine` whose launches run
     :class:`ReferenceCandidateComputer` — never the codegen tier, so
-    ``REPRO_CODEGEN=1`` cannot turn a reference run into a production
-    one."""
+    ``EngineConfig(codegen=True)`` cannot turn a reference run into a
+    production one."""
 
     def _make_computer(self, plan: MatchingPlan, cfg: EngineConfig) -> CandidateComputer:
         return ReferenceCandidateComputer(self.graph, plan, cfg)

@@ -18,6 +18,7 @@ from repro.core.multi_gpu import run_multi_gpu
 from repro.faults import FaultPlan
 from repro.graph import powerlaw_cluster
 from repro.pattern import get_query
+from tests.executors import on_both_executors
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,13 @@ class TestFixedSeedSubset:
             assert res.matches == fault_free
         else:
             assert res.detail
+
+    def test_distributed_same_on_the_worker_pool(self, graph, fault_free):
+        plan = FaultPlan.random(1, num_devices=2, num_machines=2)
+        res = on_both_executors(lambda cfg: run_distributed(
+            graph, get_query("q5"), num_machines=2, gpus_per_machine=2,
+            config=cfg, fault_plan=plan))
+        assert res.matches == fault_free if res.countable else res.detail
 
 
 @pytest.mark.chaos

@@ -11,19 +11,16 @@ These tests pin that 3-way identity over the paper's q1–q13 ×
 labeled/unlabeled × unroll factors, check engine counts against the
 golden-count oracle fixture, exercise the sanitizer and the process
 executor under the compiled tier, and pin the infrastructure itself:
-deterministic re-emission, the plan-keyed LRU code cache, the B408
-source-budget lint and the ``REPRO_CODEGEN`` override.
+deterministic re-emission, the plan-keyed LRU code cache and the B408
+source-budget lint.
 """
-
-import os
 
 import numpy as np
 import pytest
 
-from repro import EngineConfig, STMatchEngine
+from repro import EngineConfig, QueryGraph, STMatchEngine
 from repro.analysis.budget import lint_budget
 from repro.analysis.diagnostics import RULE_REGISTRY
-from repro.codegen import LRUCache, resolve_codegen
 from repro.codegen.compile import (
     clear_code_cache,
     code_cache_stats,
@@ -35,8 +32,11 @@ from repro.core.engine import cached_plan, plan_cache_stats
 from repro.core.multi_gpu import run_multi_gpu
 from repro.graph import CSRGraph
 from repro.graph.labels import assign_random_labels, relabel_query_consistently
+from repro.lru import LRUCache
+from repro.obs import TraceCollector
 from repro.parallel import shutdown_pools
 from repro.pattern import QUERIES
+from repro.scale import PartitionedGraph
 from tests import oracle
 from tests.oracle import ReferenceCandidateComputer, ReferenceEngine
 
@@ -44,16 +44,10 @@ QUERY_NAMES = [f"q{i}" for i in range(1, 14)]
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _controlled_backend():
-    """The A/B below sets codegen/executor explicitly: neutralize
-    CI-matrix env overrides for this module, and drop worker pools
+def _drop_pools():
+    """The process-executor cells below spawn worker pools: drop them
     afterwards."""
-    saved = {k: os.environ.pop(k, None)
-             for k in ("REPRO_CODEGEN", "REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
     yield
-    for k, v in saved.items():
-        if v is not None:
-            os.environ[k] = v
     shutdown_pools()
 
 
@@ -147,6 +141,51 @@ class TestThreeWayIdentity:
         # identical charge order means identical truncation under budget
         g = _random_graph(24, 0.35, seed=13)
         _assert_three_way(*_run_three_way(g, QUERIES["q5"], max_results=500))
+
+
+def _assert_codegen_equals_walk(graph, query, **run):
+    """The compiled tier against the interpreted walk on one cell:
+    same fingerprint and same tracer event stream (and both equal the
+    per-slot reference)."""
+    runs, streams = [], []
+    for codegen in (False, True):
+        col = TraceCollector(keep_events=True)
+        runs.append(STMatchEngine(graph, EngineConfig(codegen=codegen)).run(
+            query, collector=col, **run))
+        streams.append(col.events)
+    ref = ReferenceEngine(graph, EngineConfig()).run(query, **run)
+    _assert_three_way(ref, *runs)
+    assert streams[0] == streams[1] and streams[0]
+    return runs[1]
+
+
+class TestGraphKinds:
+    """Graph kinds the q1–q13 grid above never builds: directed graphs
+    (in-row reads through ``reversed_view``, self-loops the in-rows
+    drop) and a range shard (replica rows plus fallback reads)."""
+
+    @pytest.mark.parametrize("arcs", [
+        [(0, 1), (1, 2), (2, 0)],
+        [(0, 1), (1, 0), (1, 2)],
+        [(0, 1), (1, 2), (0, 2), (2, 3)],
+    ], ids=["cycle3d", "mutual_tail", "tri_tail_d"])
+    def test_directed(self, arcs):
+        q = QueryGraph.from_arcs(1 + max(map(max, arcs)), arcs)
+        rng = np.random.default_rng(23)
+        mask = rng.random((30, 30)) < 0.2  # the diagonal keeps self-loops
+        rows = [np.flatnonzero(r).astype(np.int32) for r in mask]
+        g = CSRGraph(indptr=np.cumsum([0] + [r.size for r in rows]),
+                     indices=np.concatenate(rows), directed=True)
+        assert g.self_loop_mask().any()
+        res = _assert_codegen_equals_walk(g, q)
+        assert res.matches > 0
+
+    @pytest.mark.parametrize("qname", ["q1", "q5", "q7"])
+    def test_partition_shard(self, qname):
+        g = _random_graph(30, 0.3, seed=29)
+        shard = PartitionedGraph.replicate(g, 0, 10)
+        res = _assert_codegen_equals_walk(shard, QUERIES[qname], root_vertices=(0, 10))
+        assert res.matches > 0
 
 
 class TestGoldenCounts:
@@ -279,8 +318,7 @@ class TestCodeCache:
 
 
 class TestConfigAndLint:
-    def test_env_override_never_reaches_reference_runs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "1")
+    def test_reference_engine_never_takes_codegen(self):
         g = _random_graph(20, 0.3, seed=17)
         plan = cached_plan(g, QUERIES["q5"])
         cfg = EngineConfig(codegen=True)
@@ -291,7 +329,7 @@ class TestConfigAndLint:
         assert "B408" in RULE_REGISTRY
         g = _random_graph(20, 0.3, seed=17)
         plan = cached_plan(g, QUERIES["q5"])
-        cfg = EngineConfig()
+        cfg = EngineConfig(codegen=True)
         quiet = lint_budget(plan, cfg, g)
         assert "B408" not in [d.rule for d in quiet.diagnostics]
         import repro.codegen.emit as emit
@@ -300,35 +338,13 @@ class TestConfigAndLint:
         noisy = lint_budget(plan, cfg, g)
         assert "B408" in [d.rule for d in noisy.diagnostics]
 
-    @pytest.mark.parametrize("raw,expect", [
-        ("1", True), ("true", True), ("ON", True),
-        ("0", False), ("no", False), ("", None), (None, None),
-    ])
-    def test_repro_codegen_env_resolution(self, monkeypatch, raw, expect):
-        if raw is None:
-            monkeypatch.delenv("REPRO_CODEGEN", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_CODEGEN", raw)
-        cfg = EngineConfig(codegen=True)
-        off = EngineConfig(codegen=False)
-        if expect is None:  # defer to the config
-            assert resolve_codegen(cfg) is True
-            assert resolve_codegen(off) is False
-        else:
-            assert resolve_codegen(cfg) is expect
-            assert resolve_codegen(off) is expect
+    def test_b408_silent_when_codegen_off(self, monkeypatch):
+        # the interpreted walk has no source budget: a plan that would
+        # blow it under the compiled tier lints clean with codegen off
+        g = _random_graph(20, 0.3, seed=17)
+        plan = cached_plan(g, QUERIES["q5"])
+        import repro.codegen.emit as emit
 
-    def test_repro_codegen_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "maybe")
-        with pytest.raises(ValueError, match="REPRO_CODEGEN"):
-            resolve_codegen(EngineConfig())
-
-    def test_env_override_flips_backend(self, monkeypatch):
-        # REPRO_CODEGEN=1 turns the compiled tier on without touching
-        # call sites — and the results stay identical by contract
-        g = _random_graph(22, 0.3, seed=19)
-        q = QUERIES["q3"]
-        plain = STMatchEngine(g, EngineConfig()).run(q)
-        monkeypatch.setenv("REPRO_CODEGEN", "1")
-        forced = STMatchEngine(g, EngineConfig()).run(q)
-        assert _fingerprint(plain) == _fingerprint(forced)
+        monkeypatch.setattr(emit, "SOURCE_BUDGET_BYTES", 16)
+        off = lint_budget(plan, EngineConfig(codegen=False), g)
+        assert "B408" not in [d.rule for d in off.diagnostics]

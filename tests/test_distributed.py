@@ -5,6 +5,7 @@ import pytest
 from repro import STMatchEngine, get_query
 from repro.core.distributed import DistributedResult, NetworkModel, run_distributed
 from repro.graph import powerlaw_cluster
+from tests.executors import on_both_executors
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,13 @@ class TestDistributedRun:
         # …but every task's cost must have been accounted exactly once
         total_busy = sum(m.busy_ms for m in res.machines)
         assert total_busy == pytest.approx(sum(res.task_costs_ms))
+
+    def test_same_on_the_worker_pool(self, graph):
+        # task profiling runs on the pool; the coordinator's simulation
+        # of machines, steals and the network reads the same costs
+        res = on_both_executors(lambda cfg: run_distributed(
+            graph, get_query("q7"), 4, gpus_per_machine=1, tasks_per_gpu=8, config=cfg))
+        assert res.ok and len(res.task_costs_ms) == 32
 
     def test_expensive_network_slows_cluster(self, graph):
         q = get_query("q7")

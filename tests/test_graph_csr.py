@@ -193,6 +193,20 @@ class TestBatchedAccessors:
         assert vals[offs[0]: offs[1]].tolist() == [0, 2]
         assert vals[offs[1]: offs[2]].tolist() == []
 
+    def test_directed_graph_charges_its_in_rows(self):
+        # the reversed view stays resident once built: the charge counts
+        # it whether or not an in-read has built it yet
+        rng = np.random.default_rng(0)
+        g = CSRGraph.from_edges(2000, rng.integers(0, 2000, size=(8000, 2)), directed=True)
+        before = g.device_graph_bytes()
+        rev = g.reversed_view()
+        want = sum(int(v.indptr.nbytes + v.indices.nbytes) for v in (g, rev))
+        assert before == g.device_graph_bytes() == want
+        assert rev.indices.size > 0
+        undirected = self._graph()
+        assert undirected.device_graph_bytes() == int(
+            undirected.indptr.nbytes + undirected.indices.nbytes)
+
     def test_degree_is_cached_and_consistent(self):
         g = self._graph()
         deg = g.degree()

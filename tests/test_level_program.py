@@ -48,6 +48,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.graph import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.labels import assign_random_labels
+from repro.obs import TraceCollector
 from repro.pattern import QUERIES, build_plan
 from repro.scale import PartitionedGraph, memmap_twin
 from repro.virtgpu.device import VirtualDevice
@@ -710,20 +711,33 @@ def test_four_vertex_parent_at_stop_level(monkeypatch, name, query, sym, leaf, f
     assert meter.total > len(meter.planned)
 
 
-@pytest.mark.parametrize("qname", ["q1", "q3", "q5", "q7"])  # tally ×2, flipped, gather-free
 class TestPlansAcrossKernelEvents:
     """Plans alive while the kernel steals, loses a push (the donor
     reabsorbs the tail), resumes from a checkpoint, or runs a perturbed
     schedule: every run equals the per-slot reference in matches and
     cycles."""
 
-    @staticmethod
-    def _both(graph, qname, cfg, device=None, **run):
-        q = QUERIES[qname]
-        out = []
-        for engine in (STMatchEngine, ReferenceEngine):
+    #: (engine, codegen) of the run under test, then of the run it must equal
+    RUNS = ((STMatchEngine, False), (ReferenceEngine, False))
+    #: also compare the two runs' tracer event streams
+    STREAMS = False
+
+    @pytest.fixture(params=["q1", "q3", "q5", "q7"])  # tally ×2, flipped, gather-free
+    def qname(self, request):
+        return request.param
+
+    def _both(self, graph, qname, cfg, device=None, twin=False, resume=(None, None), **run):
+        """The run under test (on ``memmap_twin(graph)`` if ``twin``) and
+        the run it must equal."""
+        out, streams = [], []
+        graphs = (memmap_twin(graph) if twin else graph, graph)
+        for (engine, codegen), g, resume_from in zip(self.RUNS, graphs, resume):
+            col = TraceCollector(keep_events=True) if self.STREAMS else None
             dev = device() if device is not None else None
-            out.append(engine(graph, cfg).run(q, device=dev, **run))
+            out.append(engine(g, cfg.with_(codegen=codegen)).run(
+                QUERIES[qname], device=dev, resume_from=resume_from, collector=col, **run))
+            streams.append(col and col.events)
+        assert streams[0] == streams[1]
         return out
 
     @staticmethod
@@ -738,9 +752,7 @@ class TestPlansAcrossKernelEvents:
     def test_memmap_twin(self, qname):
         """The walk and every leaf read a memory-mapped graph in place:
         the run equals the reference on the heap graph."""
-        graph = _skewed()
-        got = STMatchEngine(memmap_twin(graph), EngineConfig()).run(QUERIES[qname])
-        self._same(got, ReferenceEngine(graph, EngineConfig()).run(QUERIES[qname]))
+        self._same(*self._both(_skewed(), qname, EngineConfig(), twin=True))
 
     def test_lost_pushes_reabsorbed(self, qname):
         def device():
@@ -764,14 +776,31 @@ class TestPlansAcrossKernelEvents:
 
         dead = self._both(graph, qname, cfg, device)
         assert all(d.status == RunStatus.FAILED and d.checkpoint is not None for d in dead)
-        got, ref = (engine(graph, cfg).run(QUERIES[qname], resume_from=d.checkpoint)
-                    for engine, d in zip((STMatchEngine, ReferenceEngine), dead))
+        got, ref = self._both(graph, qname, cfg, resume=[d.checkpoint for d in dead])
         self._same(got, ref)
         assert got.matches == whole.matches
 
     def test_schedule_seed(self, qname):
         got, ref = self._both(_skewed(), qname, EngineConfig(), schedule_seed=7)
         self._same(got, ref)
+
+
+class TestPlansAcrossKernelEventsCodegen(TestPlansAcrossKernelEvents):
+    """The same kernel events on the compiled tier: each run equals the
+    interpreted walk in matches, cycles, steals and tracer stream."""
+
+    RUNS = ((STMatchEngine, True), (STMatchEngine, False))
+    STREAMS = True
+
+    @pytest.fixture(params=["q1", "q5", "q7"])  # one of each leaf kind
+    def qname(self, request):
+        return request.param
+
+    @staticmethod
+    def _same(got, ref):
+        TestPlansAcrossKernelEvents._same(got, ref)
+        assert (got.num_local_steals, got.num_global_steals, got.num_lost_steals) \
+            == (ref.num_local_steals, ref.num_global_steals, ref.num_lost_steals)
 
 
 def test_frame_plan_covers_every_slot_and_standalone_windows_plan_alone():

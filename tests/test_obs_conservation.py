@@ -31,6 +31,7 @@ from repro.graph import powerlaw_cluster
 from repro.obs import validate_report
 from repro.pattern import get_query
 from repro.virtgpu.device import VirtualDevice
+from tests.executors import on_both_executors
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +169,16 @@ class TestUnderFaultPlans:
         _assert_steal_conservation(res.report)
         for child in res.report["children"]:
             _assert_steal_conservation(child)
+
+    def test_multigpu_report_same_on_the_worker_pool(self, graph):
+        # pool workers build the shard reports the coordinator merges
+        plan = FaultPlan.random(0, num_devices=3, num_machines=1)
+        res = on_both_executors(lambda cfg: run_multi_gpu(
+            graph, get_query("q5"), num_devices=3, config=cfg, fault_plan=plan),
+            EngineConfig(checkpoint_interval=2, observe=True))
+        validate_report(res.report)
+        for rep in (res.report, *res.report["children"]):
+            _assert_steal_conservation(rep)
 
     def test_distributed_report_conserves(self, graph):
         res = run_distributed(

@@ -38,13 +38,16 @@ def _labeled_pair(g, q, num_labels=3, seed=7):
     return lg, q.with_labels(relabel_query_consistently(abstract, lg, seed=seed))
 
 
-def _run_observed_pair(graph, query, cfg):
+def _run(graph, query, cfg, collector=None):
+    """Run ``query`` on a fresh explicit device."""
+    dev = VirtualDevice(cfg.device, device_id=0)
+    return STMatchEngine(graph, cfg).run(query, device=dev, collector=collector), dev
+
+
+def _run_observed_pair(graph, query, cfg, collector=None):
     """Run ``query`` dark and observed on fresh explicit devices."""
-    dev_off = VirtualDevice(cfg.device, device_id=0)
-    off = STMatchEngine(graph, cfg).run(query, device=dev_off)
-    cfg_on = cfg.with_(observe=True)
-    dev_on = VirtualDevice(cfg_on.device, device_id=0)
-    on = STMatchEngine(graph, cfg_on).run(query, device=dev_on)
+    off, dev_off = _run(graph, query, cfg)
+    on, dev_on = _run(graph, query, cfg.with_(observe=True), collector)
     return off, on, dev_off, dev_on
 
 
@@ -68,10 +71,13 @@ def _assert_byte_identical(off, on, dev_off, dev_on):
 
 
 class TestZeroOverhead:
+    def _pair(self, graph, query, cfg):
+        return _run_observed_pair(graph, query, cfg)
+
     @pytest.mark.parametrize("qname", QUERY_NAMES)
     def test_observe_is_byte_identical(self, qname):
         g = _random_graph(26, 0.3, seed=11)
-        off, on, dev_off, dev_on = _run_observed_pair(g, QUERIES[qname], EngineConfig())
+        off, on, dev_off, dev_on = self._pair(g, QUERIES[qname], EngineConfig())
         _assert_byte_identical(off, on, dev_off, dev_on)
         assert off.report is None
         assert on.report is not None
@@ -80,24 +86,37 @@ class TestZeroOverhead:
     @pytest.mark.parametrize("qname", ["q4", "q8"])
     def test_observe_is_byte_identical_labeled(self, qname):
         g, q = _labeled_pair(_random_graph(26, 0.3, seed=11), QUERIES[qname])
-        off, on, dev_off, dev_on = _run_observed_pair(g, q, EngineConfig())
+        off, on, dev_off, dev_on = self._pair(g, q, EngineConfig())
         _assert_byte_identical(off, on, dev_off, dev_on)
 
     @pytest.mark.parametrize("qname", ["q5", "q11"])
     def test_observe_is_byte_identical_naive_config(self, qname):
         # the no-steal/no-unroll rung exercises different hook sites
         g = _random_graph(26, 0.3, seed=11)
-        off, on, dev_off, dev_on = _run_observed_pair(
-            g, QUERIES[qname], EngineConfig.naive()
-        )
+        off, on, dev_off, dev_on = self._pair(g, QUERIES[qname], EngineConfig.naive())
         _assert_byte_identical(off, on, dev_off, dev_on)
 
     def test_observe_under_budget(self):
         g = _random_graph(26, 0.3, seed=11)
         cfg = EngineConfig(max_results=50)
-        off, on, dev_off, dev_on = _run_observed_pair(g, QUERIES["q1"], cfg)
+        off, on, dev_off, dev_on = self._pair(g, QUERIES["q1"], cfg)
         assert off.status == "budget"
         _assert_byte_identical(off, on, dev_off, dev_on)
+
+
+class TestZeroOverheadCodegen(TestZeroOverhead):
+    """The same grid on the compiled tier, whose observed run also
+    equals the interpreted walk's in everything the cost model sees and
+    in its tracer event stream."""
+
+    def _pair(self, graph, query, cfg):
+        col, walk_col = TraceCollector(keep_events=True), TraceCollector(keep_events=True)
+        off, on, dev_off, dev_on = _run_observed_pair(
+            graph, query, cfg.with_(codegen=True), col)
+        walk, dev_walk = _run(graph, query, cfg.with_(observe=True), walk_col)
+        _assert_byte_identical(walk, on, dev_walk, dev_on)
+        assert col.events == walk_col.events and col.events
+        return off, on, dev_off, dev_on
 
 
 class TestCollectorAttachment:

@@ -8,7 +8,6 @@ long-lived service never leaks worker processes.
 
 from __future__ import annotations
 
-import os
 
 import pytest
 
@@ -30,15 +29,8 @@ from tests import oracle
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _controlled_backend():
-    """Executors are set explicitly below: neutralize CI-matrix env
-    overrides for this module, and drop the pools afterwards."""
-    saved = {k: os.environ.pop(k, None)
-             for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
+def _drop_pools():
     yield
-    for k, v in saved.items():
-        if v is not None:
-            os.environ[k] = v
     shutdown_pools()
 
 

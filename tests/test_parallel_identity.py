@@ -7,12 +7,10 @@ labeled} × {fault-free, chaos seed} × workers {2, 4} — comparing
 matches, per-shard cycles/steal schedules, ``RunStatus``, recovery
 details and aggregated obs reports, plus the golden-count oracle cells
 re-counted through the process backend.  Crash containment, the serial
-fast fallback and the env overrides are covered at the end.
+fast fallback and config resolution are covered at the end.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -36,63 +34,22 @@ from repro.pattern import QUERIES
 from repro.scale import memmap_twin
 from repro.serve import MatchRequest, MatchService, ResponseStatus
 from tests import oracle
+from tests.executors import assert_identical, log_events
 
 CHAOS_SEED = 11
 WORKER_COUNTS = (2, 4)
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _controlled_backend():
-    """The A/B below sets executors explicitly: neutralize CI-matrix env
-    overrides for this module, and drop the pools afterwards."""
-    saved = {k: os.environ.pop(k, None)
-             for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
+def _drop_pools():
+    """The A/B below spawns worker pools: drop them afterwards."""
     yield
-    for k, v in saved.items():
-        if v is not None:
-            os.environ[k] = v
     shutdown_pools()
 
 
 @pytest.fixture(scope="module")
 def graphs():
     return oracle.corpus_graphs()
-
-
-def shard_fingerprint(res):
-    """Everything observable about one shard's execution."""
-    return [
-        (r.matches, r.cycles, r.sim_ms, r.status, r.detail,
-         r.num_local_steals, r.num_global_steals, r.num_lost_steals)
-        for r in res.per_device
-    ]
-
-
-def _sans_caches(report):
-    """Report minus host-side cache telemetry.
-
-    The plan/code cache hit counters are per-OS-process state (the
-    serial path accumulates them in one process, pool workers each
-    carry their own, and persistent workers stay warm across runs), so
-    like wall clock they are outside the "changes which OS process
-    computes each result and nothing else" contract.
-    """
-    if not isinstance(report, dict):
-        return report
-    out = {k: v for k, v in report.items() if k != "caches"}
-    if "children" in out:
-        out["children"] = [_sans_caches(c) for c in out["children"]]
-    return out
-
-
-def assert_identical(serial, process):
-    assert process.matches == serial.matches
-    assert process.status == serial.status
-    assert process.sim_ms == serial.sim_ms
-    assert process.num_requeued == serial.num_requeued
-    assert process.detail == serial.detail
-    assert shard_fingerprint(process) == shard_fingerprint(serial)
-    assert _sans_caches(process.report) == _sans_caches(serial.report)
 
 
 def run_pair(graph, query, workers, fault_plan=None, observe=False):
@@ -280,20 +237,8 @@ def test_process_shard_over_memmap_twin(graphs):
     assert heap[0].matches == heap[1].matches > 0
 
 
-def test_env_overrides_resolution(monkeypatch):
+def test_resolution_reads_the_config():
     cfg = EngineConfig(executor="serial")
-    monkeypatch.setenv("REPRO_EXECUTOR", "process")
-    monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-    assert resolve_execution(cfg) == ("process", 3)
-    monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        resolve_execution(cfg)
-    monkeypatch.delenv("REPRO_EXECUTOR")
-    for bad in ("0", "-4", "two"):  # EngineConfig(num_workers=...)'s rule
-        monkeypatch.setenv("REPRO_NUM_WORKERS", bad)
-        with pytest.raises(ValueError, match="REPRO_NUM_WORKERS"):
-            resolve_execution(cfg)
-    monkeypatch.delenv("REPRO_NUM_WORKERS")
     assert resolve_execution(cfg) == ("serial", default_num_workers())
     assert resolve_execution(
         EngineConfig(executor="process", num_workers=2)) == ("process", 2)
@@ -345,7 +290,7 @@ def requeue_log(graph, config):
     assert res.countable and res.num_requeued == 1
     rep = check_protocol(log)
     assert not list(rep), rep.render()
-    return [(e.kind, e.key, e.data) for e in log if e.kind != "pool_teardown"]
+    return log_events(log)
 
 
 @pytest.mark.parametrize("mode", MODES)

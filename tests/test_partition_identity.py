@@ -16,7 +16,6 @@ partitioned run must not.
 
 from __future__ import annotations
 
-import os
 
 import networkx as nx
 import numpy as np
@@ -40,13 +39,8 @@ QUICK_QUERIES = ["q1", "q4", "q6", "q13"]
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _controlled_backend():
-    saved = {k: os.environ.pop(k, None)
-             for k in ("REPRO_EXECUTOR", "REPRO_NUM_WORKERS")}
+def _drop_pools():
     yield
-    for k, v in saved.items():
-        if v is not None:
-            os.environ[k] = v
     shutdown_pools()
 
 

@@ -8,6 +8,7 @@ from repro.core.counters import RunStatus
 from repro.graph import erdos_renyi, powerlaw_cluster
 from repro.pattern import build_plan, get_query
 from repro.virtgpu.device import DeviceConfig
+from tests.executors import on_both_executors
 
 
 class TestPlanCompilation:
@@ -144,6 +145,15 @@ class TestMultiGpu:
 
         g = powerlaw_cluster(120, m=4, seed=6)
         res = run_multi_gpu(g, get_query("q5"), 3)
+        assert res.sim_ms == max(r.sim_ms for r in res.per_device)
+
+    def test_same_on_the_worker_pool(self):
+        from repro import run_multi_gpu
+
+        g = powerlaw_cluster(120, m=4, seed=6)
+        q = get_query("q7")
+        res = on_both_executors(lambda cfg: run_multi_gpu(g, q, 3, cfg))
+        assert res.matches == STMatchEngine(g).run(q).matches
         assert res.sim_ms == max(r.sim_ms for r in res.per_device)
 
     def test_multi_gpu_speedup_on_balanced_input(self):

@@ -24,6 +24,7 @@ from repro.graph.generators import rmat
 from repro.pattern.motifs import QUERIES
 from repro.pattern.query import QueryGraph
 from repro.virtgpu.device import DeviceConfig
+from tests.executors import log_events, on_both_executors
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,21 @@ def test_multi_gpu_protocol_log_clean(wiki):
     assert len(log.by_kind("shard_dispatch")) == 3
     assert len(log.by_kind("shard_result")) == 3
     assert not list(check_protocol(log))
+
+
+def test_multi_gpu_protocol_log_same_on_the_worker_pool(wiki):
+    # the faulted re-queue log's twin is test_parallel_identity's
+    # test_requeue_protocol_log_identity
+    logs = []
+
+    def run(cfg):
+        logs.append(ProtocolLog())
+        return run_multi_gpu(wiki, QUERIES["q1"], num_devices=3, config=cfg,
+                             protocol_log=logs[-1])
+
+    assert on_both_executors(run).ok
+    assert log_events(logs[1]) == log_events(logs[0])
+    assert not list(check_protocol(logs[1]))
 
 
 def test_multi_gpu_protocol_log_faulted_recovery_clean(wiki):

@@ -19,6 +19,7 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.faults.recovery import RecoveryLedger, run_with_recovery
 from repro.graph import powerlaw_cluster
 from repro.virtgpu.device import DeviceConfig
+from tests.executors import on_both_executors
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,18 @@ class TestMultiGpuFailureAware:
         assert res.matches == baseline.matches
         assert res.num_requeued == 0
 
+    def test_recovery_same_on_the_worker_pool(self, graph, baseline):
+        # the ladder's checkpoint resume runs inside a pool worker, and
+        # device 2's shard is re-queued onto a survivor from the pool
+        plan = FaultPlan(events=_fail_plan(device=1).events + _fail_plan(
+            device=2, attempts=(0, 1, 2, 3)).events)
+        res = on_both_executors(lambda cfg: run_multi_gpu(
+            graph, get_query("q5"), num_devices=3, config=cfg,
+            fault_plan=plan, max_retries=3), EngineConfig(checkpoint_interval=2))
+        assert res.status == RunStatus.RECOVERED
+        assert res.matches == baseline.matches
+        assert res.num_requeued == 1
+
     def test_all_devices_dead_is_failed_with_detail(self, graph):
         events = []
         for d in range(2):
@@ -233,6 +246,16 @@ class TestDistributedFailureAware:
         assert res.num_requeued > 0
         assert res.num_lost_messages == 2
         assert res.sim_ms >= base.sim_ms  # recovery is never free in time
+
+    def test_machine_failure_same_on_the_worker_pool(self, graph):
+        plan = FaultPlan(events=(
+            FaultEvent(FaultKind.MACHINE_FAIL, machine=0, at_ms=0.02),
+            FaultEvent(FaultKind.STEAL_LOSS, count=2),
+        ))
+        res = on_both_executors(lambda cfg: run_distributed(
+            graph, get_query("q5"), num_machines=3, config=cfg, fault_plan=plan))
+        assert res.status == RunStatus.RECOVERED
+        assert res.num_machine_failures == 1
 
     def test_whole_cluster_down_is_failed(self, graph):
         plan = FaultPlan(events=tuple(

@@ -38,9 +38,7 @@ pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(autouse=True)
-def _controlled_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_NUM_WORKERS", raising=False)
+def _drop_pools():
     yield
     shutdown_pools()
 

@@ -20,6 +20,7 @@ from repro.pattern import QUERIES, build_plan
 from repro.pattern.symmetry import arc_orbits
 from repro.serve import MatchRequest, MatchService, ResultCache
 
+from tests.executors import response_fingerprint, with_executor
 from tests.oracle import ReferenceEngine, count_pinned_monomorphisms
 
 
@@ -88,6 +89,25 @@ class TestApplyEdits:
             assert resp.graph_version == report.new_version
             fresh = svc._hosts["g"].snapshot()[0]
             assert resp.matches == STMatchEngine(fresh).count(q)
+
+    def test_same_on_the_worker_pool(self):
+        # each new version is exported for the pool; the patched entry
+        # and fresh runs on that version read the same as in process
+        served = []
+        for executor in ("serial", "process"):
+            g = _graph()
+            svc = MatchService({"g": g}, with_executor(None, executor))
+            q1, q4 = QUERIES["q1"], QUERIES["q4"]
+            svc.match(MatchRequest(graph="g", query=q1))
+            report = svc.apply_edits("g", inserts=[(0, 9), (2, 17)],
+                                     deletes=[sorted(next(iter(g.edges())))])
+            resps = [svc.match(MatchRequest(graph="g", query=q1)),
+                     svc.match(MatchRequest(graph="g", query=q4)),
+                     svc.match(MatchRequest(graph="g", query=q4, budget=10))]
+            served.append(([response_fingerprint(r) for r in resps],
+                           report.entries_patched, report.anchor_runs))
+        assert served[1] == served[0]
+        assert [r[-1] for r in served[1][0]] == ["cache", "engine", "engine"]
 
     def test_noop_batch_keeps_version_and_cache(self):
         g = _graph()

@@ -31,6 +31,7 @@ from repro.serve import (
 )
 
 from tests import oracle
+from tests.executors import response_fingerprint, with_executor
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +274,24 @@ class TestGraphHosting:
         assert b.served_from == "engine"  # the v1 entry must not serve
         assert a.matches == golden[("sparse", "q1")]
         assert b.matches == golden[("dense", "q1")]
+
+    def test_same_on_the_worker_pool(self, graphs):
+        # the service exports every hosted version for the pool: exact
+        # (count-only) and budgeted (simulated) requests before and
+        # after a swap read the same as in process
+        served = []
+        for executor in ("serial", "process"):
+            svc = make_service(graphs, config=with_executor(None, executor))
+            resps = []
+            for swap in (False, True):
+                if swap:
+                    svc.update_graph("sparse", graphs["dense"])
+                for budget in (None, 10):
+                    resps.append(svc.match(MatchRequest(
+                        graph="sparse", query=QUERIES["q2"], budget=budget)))
+            served.append([response_fingerprint(r) for r in resps])
+        assert served[1] == served[0]
+        assert [r[0] for r in served[1]] == [1, 1, 2, 2]
 
     def test_update_unknown_graph_raises(self, graphs):
         svc = make_service(graphs)
